@@ -36,9 +36,17 @@ def _check_x(x):
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
-    if np.any(np.abs(x) > 1.0 + ENDPOINT_EPS):
-        raise DomainError(f"x outside [-1, 1]: {x!r}")
+    outside = np.abs(x) > 1.0 + ENDPOINT_EPS
+    if np.any(outside):
+        raise DomainError(
+            f"x outside [-1, 1]: {float(x[outside].flat[0])!r}"
+            f" ({int(np.count_nonzero(outside))} point(s))")
     return x
+
+
+def _clip_to_interval(x):
+    """x checked to lie within roundoff of [-1, 1], then clipped onto it."""
+    return np.clip(_check_x(x), -1.0, 1.0)
 
 
 def eval_basis_grid(m_max, d_max, x):

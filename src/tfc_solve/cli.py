@@ -6,11 +6,13 @@ report.json with fixed 17-significant-digit formatting so identical
 inputs produce byte-identical outputs.
 
 Exit codes: 0 success (converged, infinite_solutions, or indeterminate),
-2 no_solution, 3 parse or configuration error.
+2 no_solution, 3 parse, configuration or solve error (including a sweep
+in which every m failed).
 """
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -58,7 +60,11 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, payload):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write a flat report dict as strict JSON; non-finite floats become null."""
+    payload = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in payload.items()}
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(path, text + "\n")
 
 
 def _compile_coefficient(name, src, t1, t2):
@@ -213,6 +219,8 @@ def _analytic_errors(problem, sol):
 def _sweep_range(args, problem):
     if args.m is not None and ".." in str(args.m_raw):
         lo, hi = args.m_raw.split("..")
+        if int(hi) < int(lo):
+            raise ProblemFileError(f"--m range {args.m_raw} is empty")
         return range(int(lo), int(hi) + 1)
     if problem.catalog_id is not None:
         lo, hi = catalog.get(problem.catalog_id).sweep
@@ -245,8 +253,13 @@ def cmd_solve(problem, args, out):
 
 def _run_sweep(problem, args):
     cfg = problem.config(args)
-    return m_sweep(problem.ode, problem.constraints, _sweep_range(args, problem),
-                   N=cfg.N, nodes=cfg.nodes, scaling=cfg.scaling)
+    report = m_sweep(problem.ode, problem.constraints, _sweep_range(args, problem),
+                     N=cfg.N, nodes=cfg.nodes, scaling=cfg.scaling)
+    if all(r.error is not None for r in report.per_m):
+        first = report.per_m[0]
+        raise TfcSolveError(
+            f"every m in the sweep failed; first failure at m = {first.m}: {first.error}")
+    return report
 
 
 def _write_sweep(report, out):

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chebyshev import eval_basis_grid
+from .chebyshev import _clip_to_interval, eval_basis_grid
 from .mapping import DomainMap
 from .solver import CollocationConfig, solve_ls
 
@@ -41,8 +41,8 @@ class StateCostateProblem:
 
 
 def _basis_in_t(dmap, m, t):
-    """h, hdot, hddot rows (t-derivatives) at times t; shape (3, m+1, N)."""
-    x = np.clip(dmap.to_x(np.atleast_1d(np.asarray(t, dtype=float))), -1.0, 1.0)
+    """h, hdot, hddot rows (t-derivatives) at times t in [t0, tf]; (3, m+1, N)."""
+    x = _clip_to_interval(dmap.to_x(np.atleast_1d(np.asarray(t, dtype=float))))
     grid = eval_basis_grid(m, 2, x)
     return np.stack([
         grid[0],

@@ -12,6 +12,7 @@ cases used by the solver are hard-coded with their published beta
 polynomials; a generic builder covers arbitrary small constraint sets.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,10 @@ class BetaSet:
     def eval(self, x, deriv=0):
         """beta values (or derivatives) at x; shape (n, len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        rows = np.stack(
-            [_monomial_deriv_row(self.monomial_support, deriv, xi) for xi in x]
-        )  # (len(x), n_support)
+        rows = np.zeros((x.size, len(self.monomial_support)))
+        for j, e in enumerate(self.monomial_support):
+            if deriv <= e:
+                rows[:, j] = math.perm(e, deriv) * x ** (e - deriv)
         return (rows @ self.coefficients).T
 
 

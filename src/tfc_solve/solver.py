@@ -15,8 +15,9 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .chebyshev import eval_basis, eval_basis_grid
+from .chebyshev import _clip_to_interval, eval_basis, eval_basis_grid
 from .embedding import fixed_case_expression
+from .errors import TfcSolveError
 from .problem import map_ode
 
 DROPPED_K = (0, 1)
@@ -177,6 +178,19 @@ def case_from_constraints(ode, constraints):
     return case, (d1, v1), (d2, v2)
 
 
+def _embed(mapped, constraints):
+    """The constrained expression for either encoding solve_problem takes."""
+    if isinstance(constraints, tuple) and isinstance(constraints[0], str):
+        case, values_x = constraints
+    else:
+        case, (d1, v1), (d2, v2) = case_from_constraints(mapped.ode, constraints)
+        values_x = (
+            mapped.map.scale_derivative_constraint(d1, v1),
+            mapped.map.scale_derivative_constraint(d2, v2),
+        )
+    return fixed_case_expression(case, values_x)
+
+
 def solve_problem(ode, constraints, cfg=None):
     """Full pipeline: map, embed, assemble, solve, package a t-callable.
 
@@ -185,15 +199,7 @@ def solve_problem(ode, constraints, cfg=None):
     """
     cfg = cfg or CollocationConfig()
     mapped = map_ode(ode)
-    if isinstance(constraints, tuple) and isinstance(constraints[0], str):
-        case, values_x = constraints
-    else:
-        case, (d1, v1), (d2, v2) = case_from_constraints(ode, constraints)
-        values_x = (
-            mapped.map.scale_derivative_constraint(d1, v1),
-            mapped.map.scale_derivative_constraint(d2, v2),
-        )
-    expr = fixed_case_expression(case, values_x)
+    expr = _embed(mapped, constraints)
     P, lam, x, _ = assemble(expr, mapped, cfg)
     sol = solve_ls(P, lam, cfg)
     sol.expr = expr
@@ -207,10 +213,9 @@ def _make_solution(expr, mapped, m, xi):
     g_at = _constraint_basis_values(expr, m) @ xi_full
 
     def solution(t):
-        """(y, ydot, yddot) in the t-domain at times t."""
+        """(y, ydot, yddot) in the t-domain at times t within [t1, t2]."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        x = mapped.map.to_x(t)
-        x = np.clip(x, -1.0, 1.0)
+        x = _clip_to_interval(mapped.map.to_x(t))
         grid = eval_basis_grid(m, 2, x)
         g = xi_full @ grid[0]
         dg = xi_full @ grid[1]
@@ -221,19 +226,43 @@ def _make_solution(expr, mapped, m, xi):
     return solution
 
 
+# Failures recorded as an m row; anything else is a programming error.
+_ROW_ERRORS = (TfcSolveError, np.linalg.LinAlgError, ValueError)
+
+
 def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
             scaling="column_norm", **thresholds):
-    """Solve for each m and classify the sweep."""
-    rows = []
-    for m in m_range:
+    """Solve for each m and classify the sweep.
+
+    Column k of P and its scale depend on T_k alone and lambda on no basis
+    element, so the system is assembled once at the largest valid m and
+    each m solves on the first m - 1 columns.
+    """
+    ms = [int(m) for m in m_range]
+    cfgs, errors = {}, {}
+    for m in ms:
         try:
-            cfg = CollocationConfig(m=int(m), N=int(N), nodes=nodes, scaling=scaling)
-            sol = solve_problem(ode, constraints, cfg)
-        except Exception as exc:  # per-m failure recorded, sweep continues
+            cfgs[m] = CollocationConfig(m=m, N=int(N), nodes=nodes, scaling=scaling)
+        except ValueError as exc:
+            errors[m] = str(exc)
+    if cfgs:
+        try:
+            mapped = map_ode(ode)
+            P, lam, _, _ = assemble(_embed(mapped, constraints), mapped,
+                                    cfgs[max(cfgs)])
+        except _ROW_ERRORS as exc:
+            errors.update(dict.fromkeys(cfgs, str(exc)))
+
+    rows = []
+    for m in ms:
+        if m not in errors:
+            try:
+                rows.append(solve_ls(P[:, :m - 1], lam, cfgs[m]).sweep_row(m))
+            except _ROW_ERRORS as exc:
+                errors[m] = str(exc)
+        if m in errors:
             rows.append(diagnostics.SweepRow(
-                m=int(m), residual_mean=np.nan, residual_abs_mean=np.nan,
+                m=m, residual_mean=np.nan, residual_abs_mean=np.nan,
                 residual_std=np.nan, cond_PtP=np.nan, rank_deficient=False,
-                error=str(exc)))
-            continue
-        rows.append(sol.sweep_row(int(m)))
+                error=errors[m]))
     return diagnostics.make_report(rows, **thresholds)

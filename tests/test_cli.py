@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfc_solve.cli import main
+from tfc_solve.cli import main, write_json
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -213,6 +213,50 @@ def test_bad_schema_is_config_error(tmp_path):
 def test_bad_m_flag_is_config_error(tmp_path):
     code, _ = run(tmp_path, "solve", "catalog:eq19", "--m", "seventeen")
     assert code == 3
+
+
+@pytest.mark.parametrize("subcommand", ["sweep", "classify"])
+def test_every_m_failing_is_a_solve_error(tmp_path, capsys, subcommand):
+    # f is singular at t = 0.5, a node of the 1001-point uniform grid
+    doc = {
+        "schema_version": 1,
+        "kind": "bvp",
+        "interval": [0.0, 1.0],
+        "coefficients": {"f2": "1", "f1": "0", "f0": "0", "f": "1/(t - 0.5)"},
+        "constraints": [
+            {"order": 0, "at": "t1", "value": 0.0},
+            {"order": 0, "at": "t2", "value": 0.0},
+        ],
+        "solver": {"N": 1001},
+    }
+    pfile = tmp_path / "sing.json"
+    pfile.write_text(json.dumps(doc))
+    with np.errstate(divide="ignore"):
+        code, out = run(tmp_path, subcommand, str(pfile))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[solve]: ")
+    assert "m = 3" in err and "f is non-finite at node 500" in err
+    assert list(out.iterdir()) == []
+
+
+def test_empty_m_range_is_config_error(tmp_path, capsys):
+    code, out = run(tmp_path, "classify", "catalog:eq26", "--m", "5..3")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error[config]: ")
+    assert list(out.iterdir()) == []
+
+
+def test_write_json_encodes_non_finite_as_null(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    path = tmp_path / "report.json"
+    write_json(path, {"cond_PtP": float("inf"), "residual_std": np.float64("nan"),
+                      "low": -np.inf, "best": 1.5, "m": 17, "ok": True})
+    data = json.loads(path.read_text(), parse_constant=reject)
+    assert data == {"cond_PtP": None, "residual_std": None, "low": None,
+                    "best": 1.5, "m": 17, "ok": True}
 
 
 def _load_pyproject():

@@ -3,6 +3,7 @@ import pytest
 
 from tfc_solve import (
     CollocationConfig,
+    DomainError,
     StateCostateProblem,
     alternative_embeddings,
     shoot_state_costate,
@@ -184,3 +185,16 @@ def test_alternative_embedding_terminal_transversality():
 def test_unknown_embedding_pattern_rejected():
     with pytest.raises(ValueError):
         alternative_embeddings("free_final_time")
+
+
+def test_solution_outside_interval_raises():
+    problem = lqr_problem()
+    sol = solve_state_costate(problem, CollocationConfig(m=17, N=200))
+    for fn in (sol.state, sol.costate):
+        with pytest.raises(DomainError):
+            fn(2.0 + 1e-6)
+        with pytest.raises(DomainError):
+            fn(np.array([0.0, -1e-6]))
+    # the boundary values still hold exactly at the interval ends
+    assert np.allclose(sol.state(0.0)[:, 0], problem.x0, atol=1e-12)
+    assert np.allclose(sol.costate(2.0)[:, 0], problem.lambda_f, atol=1e-12)

@@ -5,6 +5,7 @@ import pytest
 
 from tfc_solve import (
     ConstraintSpec,
+    DomainMap,
     RelativeConstraintSpec,
     SingularConstraintSet,
     build_betas,
@@ -12,7 +13,7 @@ from tfc_solve import (
     fixed_case_expression,
     generic_case_expression,
 )
-from tfc_solve.embedding import FIXED_CASES
+from tfc_solve.embedding import FIXED_CASES, _monomial_deriv_row
 
 
 def kronecker_matrix(betas, constraints):
@@ -309,3 +310,40 @@ def test_affine_linearity_in_g():
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         fixed_case_expression("BVP_y_dddy", (0.0, 0.0))
+
+
+# --- array evaluation against the per-point reference ----------------------
+
+BUILT_CONSTRAINT_SETS = [
+    ((0, -1.0), (1, 0.0), (0, 1.0)),
+    ((2, -1.0), (0, 0.0), (0, 2.0), (1, 2.0)),
+    ((0, -1.0), (1, -1.0), (2, -1.0), (0, 1.0), (1, 1.0)),
+    ((0, -1.0), (1, -1.0), (2, -1.0), (0, 1.0), (1, 1.0), (2, 1.0)),
+]
+
+
+def beta_sets_under_test():
+    sets = [fixed_case_expression(cid, (0.0, 0.0)).betas for cid in sorted(FIXED_CASES)]
+    sets += [build_betas([ConstraintSpec(o, loc) for o, loc in spec])
+             for spec in BUILT_CONSTRAINT_SETS]
+    return sets
+
+
+@pytest.mark.parametrize("N", [60, 1001, 4000, 10001])
+@pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
+def test_beta_eval_matches_per_point_reference(nodes, N):
+    # The array power x**e and the scalar xi**e may round differently by
+    # one ulp, so agreement is to a few eps rather than bit for bit.
+    x = DomainMap(-1.0, 1.0).nodes(N, nodes)
+    reference_rows = {}
+    for betas in beta_sets_under_test():
+        for deriv in range(4):
+            key = (betas.monomial_support, deriv)
+            if key not in reference_rows:
+                reference_rows[key] = np.stack(
+                    [_monomial_deriv_row(betas.monomial_support, deriv, xi) for xi in x])
+            ref = (reference_rows[key] @ betas.coefficients).T
+            got = betas.eval(x, deriv)
+            assert got.shape == ref.shape == (betas.n, N)
+            tol = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
+            assert np.all(np.abs(got - ref) <= tol), (betas.monomial_support, deriv)

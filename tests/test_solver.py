@@ -4,9 +4,12 @@ from numpy.polynomial import chebyshev as C
 
 from tfc_solve import (
     CollocationConfig,
+    DomainError,
     LinearODE2,
     assemble,
+    diagnostics,
     fixed_case_expression,
+    m_sweep,
     map_ode,
     solve_ls,
     solve_problem,
@@ -279,3 +282,77 @@ def test_config_validation():
         CollocationConfig(scaling="rows")
     with pytest.raises(ValueError):
         CollocationConfig(m=4, N=10, weights=np.zeros(10))
+
+
+# --- solution domain ---------------------------------------------------------
+
+def test_solution_outside_interval_raises():
+    sol = solve_problem(_eq19(), CATALOG["eq19"].constraint_triples(), _cfg())
+    with pytest.raises(DomainError):
+        sol.solution(9.0)
+    with pytest.raises(DomainError):
+        sol.solution(np.array([2.0, 4.0 + 1e-6]))
+    y, yd, ydd = sol.solution(4.0)
+    ya, yda, ydda = CATALOG["eq19"].analytic(4.0)
+    assert y[0] == pytest.approx(ya, abs=1e-9)
+    assert yd[0] == pytest.approx(yda, abs=1e-8)
+    assert ydd[0] == pytest.approx(ydda, abs=1e-7)
+
+
+# --- m sweep -------------------------------------------------------------------
+
+SWEEP_FIELDS = ("residual_mean", "residual_abs_mean", "residual_std", "cond_PtP")
+
+
+@pytest.mark.parametrize("scaling", ["column_norm", "none"])
+@pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
+@pytest.mark.parametrize("pid", sorted(CATALOG))
+def test_m_sweep_matches_per_m_solves(pid, nodes, scaling):
+    entry = CATALOG[pid]
+    ode, constraints = entry.ode(), entry.constraint_triples()
+    m_range = range(entry.sweep[0], entry.sweep[1] + 1)
+    report = m_sweep(ode, constraints, m_range, N=1000, nodes=nodes, scaling=scaling)
+    rows = [solve_problem(ode, constraints, _cfg(m=m, nodes=nodes, scaling=scaling))
+            .sweep_row(m) for m in m_range]
+    expected = diagnostics.make_report(rows)
+    assert report.classification == expected.classification
+    assert report.best_m == expected.best_m
+    assert [r.m for r in report.per_m] == list(m_range)
+    for got, ref in zip(report.per_m, expected.per_m):
+        assert got.error is None
+        assert got.rank_deficient == ref.rank_deficient
+        for name in SWEEP_FIELDS:
+            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-12,
+                                                       abs=0.0), (got.m, name)
+
+
+def test_m_sweep_invalid_configs_get_their_own_rows():
+    ode, constraints = _eq26(), CATALOG["eq26"].constraint_triples()
+    report = m_sweep(ode, constraints, range(3, 26), N=20)
+    assert [r.m for r in report.per_m] == list(range(3, 26))
+    for r in report.per_m:
+        if r.m >= 20:
+            assert r.error == "need N >= m + 1"
+        else:
+            ref = solve_problem(ode, constraints, _cfg(m=r.m, N=20))
+            assert r.error is None
+            assert r.residual_std == pytest.approx(ref.residual_std, rel=1e-12, abs=0.0)
+
+
+def test_m_sweep_node_singularity_gives_error_rows():
+    ode = LinearODE2(f2=lambda t: 1.0 + 0 * t, f1=lambda t: 0 * t, f0=lambda t: 0 * t,
+                     f=lambda t: 1.0 / (t - 0.5), t1=0.0, t2=1.0)
+    with np.errstate(divide="ignore"):
+        report = m_sweep(ode, [(0, 0.0, 0.0), (0, 1.0, 0.0)], range(3, 8), N=1001)
+    assert [r.m for r in report.per_m] == list(range(3, 8))
+    assert all("f is non-finite at node 500" in r.error for r in report.per_m)
+    assert report.best_m == -1
+
+
+def test_m_sweep_propagates_programming_errors():
+    def broken(t):
+        raise TypeError("coefficient bug")
+
+    ode = LinearODE2(f2=broken, f1=broken, f0=broken, f=broken, t1=0.0, t2=1.0)
+    with pytest.raises(TypeError, match="coefficient bug"):
+        m_sweep(ode, [(0, 0.0, 0.0), (0, 1.0, 0.0)], range(3, 8))

@@ -141,7 +141,8 @@ class LoadedProblem:
                 raise ProblemFileError(f"{key} must be a 2-vector")
 
         def matfn(fns):
-            return lambda t: np.array([[float(fns[i][j](t)) for j in range(2)]
+            # (2, 2) at a scalar t, (2, 2, N) at an array of N times
+            return lambda t: np.array([[fns[i][j](t) for j in range(2)]
                                        for i in range(2)])
 
         self.control = StateCostateProblem(

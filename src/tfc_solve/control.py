@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chebyshev import _clip_to_interval, eval_basis_grid
+from .errors import NodeSingularity
 from .mapping import DomainMap
 from .solver import CollocationConfig, solve_ls
 
@@ -30,6 +31,14 @@ ZERO_COLUMN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class StateCostateProblem:
+    """d/dt {x, lambda} = [[A11, A12], [A21, A22]] {x, lambda} on [t0, tf].
+
+    Each block is a callable of t. Called with an array of N times it may
+    return the block at every time, shape (2, 2, N); if it raises TypeError
+    or ValueError there, or returns another shape, it is called once per
+    time instead and must return a (2, 2) matrix.
+    """
+
     A11: Callable
     A12: Callable
     A21: Callable
@@ -65,6 +74,39 @@ class StateCostateSolution:
     dropped_columns: tuple
 
 
+def _blocks_at(fn, name, tnodes):
+    """One block of A at every node, as a finite (N, 2, 2) array.
+
+    fn is called once with the whole node array and its value is used when
+    it has shape (2, 2, N). Otherwise (a TypeError or ValueError, or any
+    other shape, such as the (2, 2) of a constant) fn is called once per
+    node, and each value must be (2, 2).
+    """
+    n = len(tnodes)
+    try:
+        a = np.asarray(fn(tnodes), dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is not None and a.shape == (2, 2, n):
+        # contiguous like a per-node (2, 2), so each batched product below
+        # runs the same matmul kernel the per-node form did
+        a = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+    else:
+        per_node = []
+        for t in tnodes:
+            v = np.asarray(fn(t), dtype=float)
+            if v.shape != (2, 2):
+                raise ValueError(
+                    f"{name} must return a 2x2 matrix at each node, got shape {v.shape}")
+            per_node.append(v)
+        a = np.stack(per_node)
+    bad = ~np.isfinite(a)
+    if bad.any():
+        j, r, c = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NodeSingularity(f"{name}[{r}][{c}]", int(j), float(tnodes[j]))
+    return a
+
+
 def assemble_state_costate(problem, cfg):
     """Block system M (alpha, beta, gamma) = rhs over the collocation nodes.
 
@@ -80,37 +122,32 @@ def assemble_state_costate(problem, cfg):
     h, hd, hdd = _basis_in_t(dmap, m, tnodes)
     h0 = _basis_in_t(dmap, m, [problem.t0])
     hf = _basis_in_t(dmap, m, [problem.tf])
-    dh0 = h - h0[0]          # (m+1, N)
-    dhd0 = hd - h0[1]
-    dhf = h - hf[0]
+    A11, A12, A21, A22 = (_blocks_at(getattr(problem, name), name, tnodes)
+                          for name in ("A11", "A12", "A21", "A22"))
+
+    # Node-major stacks: Hx[j] = [h - h0; hdot - hdot0] at node j, (N, 2, nb).
+    Hx = np.stack([(h - h0[0]).T, (hd - h0[1]).T], axis=1)
+    Gxd = np.stack([hd.T, hdd.T], axis=1)
+    dhf = (h - hf[0]).T[:, None, :]          # (N, 1, nb)
+    hdT = hd.T
+
+    # M4[j, row, block, k]: row 0-1 state, 2-3 costate; block alpha/beta/gamma.
+    M4 = np.empty((cfg.N, 4, 3, nb))
+    M4[:, :2, 0] = Gxd - A11 @ Hx
+    M4[:, 2:, 0] = -A21 @ Hx
+    # Beta (k = 0) feeds lambda row 0 and gamma (k = 1) row 1, so a @ [dhf; 0]
+    # is a[:, 0] * dhf and a @ [0; dhf] is a[:, 1] * dhf. "0.0 -" and "+ 0.0"
+    # keep its zeros +0.0, as the 2x2 matrix products of the per-node form did.
+    for k in (0, 1):
+        M4[:, :2, 1 + k] = 0.0 - A12[:, :, k:k + 1] * dhf
+        a22_dhf = A22[:, :, k:k + 1] * dhf + 0.0
+        M4[:, 2:, 1 + k] = 0.0 - a22_dhf
+        M4[:, 2 + k, 1 + k] = hdT - a22_dhf[:, k]
 
     x0 = np.asarray(problem.x0, dtype=float)
     lf = np.asarray(problem.lambda_f, dtype=float)
-
-    M = np.zeros((4 * cfg.N, 3 * nb))
-    rhs = np.zeros(4 * cfg.N)
-    for j, t in enumerate(tnodes):
-        a11 = np.asarray(problem.A11(t), dtype=float)
-        a12 = np.asarray(problem.A12(t), dtype=float)
-        a21 = np.asarray(problem.A21(t), dtype=float)
-        a22 = np.asarray(problem.A22(t), dtype=float)
-        Hx = np.vstack([dh0[:, j], dhd0[:, j]])        # 2 x (m+1)
-        Gxd = np.vstack([hd[:, j], hdd[:, j]])
-        Hl_b = np.vstack([dhf[:, j], np.zeros(nb)])    # beta feeds lambda row 0
-        Hl_g = np.vstack([np.zeros(nb), dhf[:, j]])
-        Ld_b = np.vstack([hd[:, j], np.zeros(nb)])
-        Ld_g = np.vstack([np.zeros(nb), hd[:, j]])
-
-        r = 4 * j
-        M[r:r + 2, 0:nb] = Gxd - a11 @ Hx
-        M[r:r + 2, nb:2 * nb] = -a12 @ Hl_b
-        M[r:r + 2, 2 * nb:] = -a12 @ Hl_g
-        M[r + 2:r + 4, 0:nb] = -a21 @ Hx
-        M[r + 2:r + 4, nb:2 * nb] = Ld_b - a22 @ Hl_b
-        M[r + 2:r + 4, 2 * nb:] = Ld_g - a22 @ Hl_g
-        rhs[r:r + 2] = a11 @ x0 + a12 @ lf
-        rhs[r + 2:r + 4] = a21 @ x0 + a22 @ lf
-    return M, rhs
+    rhs = np.concatenate([A11 @ x0 + A12 @ lf, A21 @ x0 + A22 @ lf], axis=1)
+    return M4.reshape(4 * cfg.N, 3 * nb), rhs.ravel()
 
 
 def solve_state_costate(problem, cfg=None):
@@ -124,7 +161,10 @@ def solve_state_costate(problem, cfg=None):
     keep = norms > ZERO_COLUMN_TOL * max(norms.max(), 1.0)
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0])
 
-    ls_cfg = CollocationConfig(m=cfg.m, N=4 * cfg.N, scaling=cfg.scaling)
+    # each node's weight applies to its four rows
+    weights = None if cfg.weights is None else np.repeat(cfg.weights, 4)
+    ls_cfg = CollocationConfig(m=cfg.m, N=4 * cfg.N, weights=weights,
+                               scaling=cfg.scaling)
     sol = solve_ls(M[:, keep], rhs, ls_cfg)
     coeffs = np.zeros(3 * nb)
     coeffs[keep] = sol.xi

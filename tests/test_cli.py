@@ -163,6 +163,35 @@ def test_control_subcommand(tmp_path):
     assert report["residual_std"] <= 1e-9
 
 
+def test_control_non_finite_block_is_a_solve_error(tmp_path, capsys):
+    # A11[1][0] is singular at t = 1, node 100 of the 201-point grid
+    doc = control_doc()
+    doc["A11"] = [["0", "1"], ["-1/(t-1)", "0"]]
+    doc["solver"] = {"N": 201}
+    pfile = tmp_path / "sing.json"
+    pfile.write_text(json.dumps(doc))
+    with np.errstate(divide="ignore"):
+        code, out = run(tmp_path, "control", str(pfile))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[solve]: A11[1][0] is non-finite at node 100 (t=1.0)")
+    assert list(out.iterdir()) == []
+
+
+def test_control_honours_solver_weights(tmp_path):
+    reports = []
+    for name, weights in (("plain", None), ("weighted", [1.0] * 100 + [1e6] * 100)):
+        doc = control_doc()
+        if weights is not None:
+            doc["solver"]["weights"] = weights
+        pfile = tmp_path / f"{name}.json"
+        pfile.write_text(json.dumps(doc))
+        code, out = run(tmp_path / name, "control", str(pfile))
+        assert code == 0
+        reports.append((out / "report.json").read_text())
+    assert reports[0] != reports[1]
+
+
 def test_control_on_scalar_problem_is_config_error(tmp_path):
     code, _ = run(tmp_path, "control", "catalog:eq19")
     assert code == 3

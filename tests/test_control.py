@@ -1,15 +1,23 @@
+import json
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tfc_solve import (
     CollocationConfig,
     DomainError,
+    DomainMap,
+    NodeSingularity,
     StateCostateProblem,
     alternative_embeddings,
     shoot_state_costate,
     solve_state_costate,
 )
-from tfc_solve.control import assemble_state_costate
+from tfc_solve.cli import load_problem
+from tfc_solve.control import _basis_in_t, assemble_state_costate
 
 I2 = np.eye(2)
 Z2 = np.zeros((2, 2))
@@ -198,3 +206,217 @@ def test_solution_outside_interval_raises():
     # the boundary values still hold exactly at the interval ends
     assert np.allclose(sol.state(0.0)[:, 0], problem.x0, atol=1e-12)
     assert np.allclose(sol.costate(2.0)[:, 0], problem.lambda_f, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The vectorised block assembly against the per-node loop it replaced.
+
+
+def assemble_per_node(problem, cfg):
+    """Reference: M and rhs built node by node, one A call per block."""
+    dmap = DomainMap(problem.t0, problem.tf)
+    tnodes = dmap.to_t(dmap.nodes(cfg.N, cfg.nodes))
+    m = cfg.m
+    nb = m + 1
+    h, hd, hdd = _basis_in_t(dmap, m, tnodes)
+    h0 = _basis_in_t(dmap, m, [problem.t0])
+    hf = _basis_in_t(dmap, m, [problem.tf])
+    dh0 = h - h0[0]
+    dhd0 = hd - h0[1]
+    dhf = h - hf[0]
+
+    x0 = np.asarray(problem.x0, dtype=float)
+    lf = np.asarray(problem.lambda_f, dtype=float)
+
+    M = np.zeros((4 * cfg.N, 3 * nb))
+    rhs = np.zeros(4 * cfg.N)
+    for j, t in enumerate(tnodes):
+        a11 = np.asarray(problem.A11(t), dtype=float)
+        a12 = np.asarray(problem.A12(t), dtype=float)
+        a21 = np.asarray(problem.A21(t), dtype=float)
+        a22 = np.asarray(problem.A22(t), dtype=float)
+        Hx = np.vstack([dh0[:, j], dhd0[:, j]])
+        Gxd = np.vstack([hd[:, j], hdd[:, j]])
+        Hl_b = np.vstack([dhf[:, j], np.zeros(nb)])
+        Hl_g = np.vstack([np.zeros(nb), dhf[:, j]])
+        Ld_b = np.vstack([hd[:, j], np.zeros(nb)])
+        Ld_g = np.vstack([np.zeros(nb), hd[:, j]])
+
+        r = 4 * j
+        M[r:r + 2, 0:nb] = Gxd - a11 @ Hx
+        M[r:r + 2, nb:2 * nb] = -a12 @ Hl_b
+        M[r:r + 2, 2 * nb:] = -a12 @ Hl_g
+        M[r + 2:r + 4, 0:nb] = -a21 @ Hx
+        M[r + 2:r + 4, nb:2 * nb] = Ld_b - a22 @ Hl_b
+        M[r + 2:r + 4, 2 * nb:] = Ld_g - a22 @ Hl_g
+        rhs[r:r + 2] = a11 @ x0 + a12 @ lf
+        rhs[r + 2:r + 4] = a21 @ x0 + a22 @ lf
+    return M, rhs
+
+
+def assert_bit_identical(a, b):
+    # stricter than array_equal: the sign of every zero must match too
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def stiffness(t):
+    return 1.0 + 0.5 * np.sin(2.0 * t)
+
+
+def scalar_only_problem():
+    # math.sin rejects an array with TypeError; the ragged np.array of the
+    # others rejects it with ValueError
+    return StateCostateProblem(
+        A11=lambda t: np.array([[0.0, 1.0], [-(1.0 + 0.5 * math.sin(2.0 * t)), 0.0]]),
+        A12=lambda t: np.array([[0.0, 0.0], [0.0, -1.0 - 0.2 * t]]),
+        A21=lambda t: np.array([[-np.cos(t), 0.0], [0.0, -0.5]]),
+        A22=lambda t: np.array([[0.0, stiffness(t)], [-1.0, 0.0]]),
+        x0=[0.6, -0.8], lambda_f=[0.0, 0.0], t0=0.0, tf=2.0,
+    )
+
+
+def array_problem():
+    def z(t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    return StateCostateProblem(
+        A11=lambda t: np.array([[z(t), z(t) + 1.0], [-stiffness(t), z(t)]]),
+        A12=lambda t: np.array([[z(t), z(t)], [z(t), -1.0 - 0.2 * t]]),
+        A21=lambda t: np.array([[-np.cos(t), z(t)], [z(t), z(t) - 0.5]]),
+        A22=lambda t: np.array([[z(t), stiffness(t)], [z(t) - 1.0, z(t)]]),
+        x0=[0.6, -0.8], lambda_f=[0.0, 0.0], t0=0.0, tf=2.0,
+    )
+
+
+def parsed_problem(tmp_path):
+    k = "(1 + 0.5*sin(2*t))"
+    doc = {
+        "schema_version": 1, "kind": "control", "interval": [0.0, 2.0],
+        "A11": [["0", "1"], ["-" + k, "0"]],
+        "A12": [["0", "0"], ["0", "-1 - 0.2*t"]],
+        "A21": [["-cos(t)", "0"], ["0", "-0.5"]],
+        "A22": [["0", k], ["-1", "0"]],
+        "x0": [0.6, -0.8], "lambda_f": [0.0, 0.0],
+    }
+    path = tmp_path / "control.json"
+    path.write_text(json.dumps(doc))
+    return load_problem(str(path)).control
+
+
+A_KINDS = {
+    "scalar_numpy": lambda tmp_path: scalar_only_problem(),
+    "constant": lambda tmp_path: lqr_problem(),
+    "array_numpy": lambda tmp_path: array_problem(),
+    "parsed": parsed_problem,
+}
+
+
+@pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
+@pytest.mark.parametrize("kind", sorted(A_KINDS))
+def test_assembly_bit_identical_to_per_node_loop(tmp_path, kind, nodes):
+    problem = A_KINDS[kind](tmp_path)
+    for m in (2, 17, 25):
+        for n in (m + 1, 200, 1001):
+            cfg = CollocationConfig(m=m, N=n, nodes=nodes)
+            M, rhs = assemble_state_costate(problem, cfg)
+            M_ref, rhs_ref = assemble_per_node(problem, cfg)
+            assert_bit_identical(M, M_ref)
+            assert_bit_identical(rhs, rhs_ref)
+
+
+def test_parsed_matrices_evaluate_over_an_array(tmp_path):
+    problem = parsed_problem(tmp_path)
+    t = np.linspace(0.0, 2.0, 7)
+    a = problem.A11(t)
+    assert a.shape == (2, 2, 7)
+    assert problem.A11(0.5).shape == (2, 2)
+    for j in range(7):
+        assert np.array_equal(a[:, :, j], problem.A11(t[j]))
+
+
+def counted(fn, calls):
+    def wrapper(t):
+        calls.append(np.ndim(t))
+        return fn(t)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("kind", ["array_numpy", "scalar_numpy"])
+def test_block_calls_per_assembly(kind):
+    problem = A_KINDS[kind](None)
+    calls = {name: [] for name in ("A11", "A12", "A21", "A22")}
+    problem = replace(problem, **{name: counted(getattr(problem, name), c)
+                                  for name, c in calls.items()})
+    cfg = CollocationConfig(m=10, N=50)
+    assemble_state_costate(problem, cfg)
+    for c in calls.values():
+        if kind == "array_numpy":
+            assert c == [1]
+        else:
+            assert c == [1] + [0] * cfg.N
+
+
+def test_callable_raising_type_error_propagates():
+    def broken(t):
+        raise TypeError("not a matrix function")
+
+    problem = replace(lqr_problem(), A22=broken)
+    with pytest.raises(TypeError, match="not a matrix function"):
+        solve_state_costate(problem, CollocationConfig(m=8, N=40))
+
+
+def singular_a11_array(t):
+    t = np.asarray(t, dtype=float)
+    z = np.zeros_like(t)
+    return np.array([[z, z + 1.0], [-1.0 / (t - 1.0), z]])
+
+
+def singular_a11_scalar(t):
+    return np.array([[0.0, 1.0], [-1.0 / (t - 1.0), 0.0]])
+
+
+@pytest.mark.parametrize("a11", [singular_a11_array, singular_a11_scalar])
+def test_non_finite_block_is_node_singularity(a11):
+    # t = 1 is node 100 of the 201-point uniform grid on [0, 2]
+    problem = replace(lqr_problem(), A11=a11)
+    with np.errstate(divide="ignore"), pytest.raises(NodeSingularity) as info:
+        solve_state_costate(problem, CollocationConfig(m=10, N=201))
+    assert info.value.name == "A11[1][0]"
+    assert info.value.node_index == 100
+    assert info.value.t == 1.0
+
+
+@pytest.mark.parametrize("value, shape", [
+    (np.array([1.0, 2.0]), "(2,)"),
+    (0.5, "()"),
+    (np.eye(3), "(3, 3)"),
+])
+def test_wrong_shaped_block_is_rejected(value, shape):
+    problem = replace(lqr_problem(), A21=lambda t: value)
+    with pytest.raises(ValueError, match=r"A21 .*got shape " + re.escape(shape)):
+        solve_state_costate(problem, CollocationConfig(m=8, N=40))
+
+
+def test_unit_weights_match_no_weights_bit_for_bit():
+    problem = lqr_problem()
+    plain = solve_state_costate(problem, CollocationConfig(m=12, N=90))
+    unit = solve_state_costate(problem, CollocationConfig(m=12, N=90, weights=np.ones(90)))
+    for field in ("alpha", "beta", "gamma"):
+        assert_bit_identical(getattr(unit, field), getattr(plain, field))
+    assert unit.residual_std == plain.residual_std
+    assert unit.cond_PtP == plain.cond_PtP
+
+
+def test_node_weights_change_the_solution():
+    problem = lqr_problem()
+    weights = np.r_[np.ones(45), np.full(45, 1e6)]
+    plain = solve_state_costate(problem, CollocationConfig(m=12, N=90))
+    weighted = solve_state_costate(problem, CollocationConfig(m=12, N=90, weights=weights))
+    coeffs = np.r_[plain.alpha, plain.beta, plain.gamma]
+    changed = np.r_[weighted.alpha, weighted.beta, weighted.gamma]
+    assert not np.array_equal(changed, coeffs)
+    # the boundary values hold for any coefficients
+    assert np.allclose(weighted.state(0.0)[:, 0], problem.x0, atol=1e-12)
+    assert np.allclose(weighted.costate(2.0)[:, 0], problem.lambda_f, atol=1e-12)

@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_NO_SOLUTION = 2
 EXIT_CONFIG = 3
 
+# subcommands whose --m is a range a..b; the others take one integer
+SWEEP_COMMANDS = ("sweep", "classify")
+
 
 class ProblemFileError(TfcSolveError):
     pass
@@ -157,7 +160,7 @@ class LoadedProblem:
         m = self.solver.get("m", 17)
         n = self.solver.get("N", 1000)
         scaling = self.solver.get("scaling", "column_norm")
-        if args.m is not None:
+        if args.m is not None and args.subcommand not in SWEEP_COMMANDS:
             m = args.m
         if args.N is not None:
             n = args.N
@@ -217,12 +220,27 @@ def _analytic_errors(problem, sol):
     }
 
 
+def _parse_m(subcommand, text):
+    """--m as the subcommand takes it: one integer, or a..b for a sweep."""
+    if subcommand not in SWEEP_COMMANDS:
+        try:
+            return int(text)
+        except ValueError:
+            raise ProblemFileError(
+                f"{subcommand} takes --m as one integer, not {text!r}") from None
+    try:
+        lo, hi = (int(v) for v in text.split(".."))
+    except ValueError:
+        raise ProblemFileError(
+            f"{subcommand} takes --m as a range a..b, not {text!r}") from None
+    if hi < lo:
+        raise ProblemFileError(f"--m range {text} is empty")
+    return range(lo, hi + 1)
+
+
 def _sweep_range(args, problem):
-    if args.m is not None and ".." in str(args.m_raw):
-        lo, hi = args.m_raw.split("..")
-        if int(hi) < int(lo):
-            raise ProblemFileError(f"--m range {args.m_raw} is empty")
-        return range(int(lo), int(hi) + 1)
+    if args.m is not None:
+        return args.m
     if problem.catalog_id is not None:
         lo, hi = catalog.get(problem.catalog_id).sweep
         return range(lo, hi + 1)
@@ -339,7 +357,8 @@ def build_parser():
     parser.add_argument("subcommand", choices=sorted(COMMANDS))
     parser.add_argument("problem", help="problem file path or catalog:<id>")
     parser.add_argument("--m", default=None,
-                        help="basis size, or a..b range for sweep/classify")
+                        help="basis size for solve/control, a..b range for "
+                             "sweep/classify")
     parser.add_argument("--N", type=int, default=None, help="collocation node count")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--scaling", choices=["column_norm", "none"], default=None)
@@ -350,16 +369,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.m_raw = args.m
-    if args.m is not None:
-        try:
-            args.m = int(args.m.split("..")[0]) if ".." in args.m else int(args.m)
-        except ValueError:
-            print("error[config]: --m must be an integer or a..b", file=sys.stderr)
-            return EXIT_CONFIG
     try:
         problem = load_problem(args.problem)
         os.makedirs(args.out, exist_ok=True)
+        if args.m is not None:
+            args.m = _parse_m(args.subcommand, args.m)
         return COMMANDS[args.subcommand](problem, args, args.out)
     except ParseError as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)

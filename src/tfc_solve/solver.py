@@ -7,6 +7,10 @@ the right-hand side is f minus the operator applied to the pure-constraint
 part. Indices k = 0, 1 are dropped: the constraint embedding already
 reproduces (or absorbs) the constant and linear directions, so the
 remaining columns span a complement of the embedding's null space.
+
+Each least-squares solve is one Householder QR of the scaled [P | lambda]
+and an SVD of its small triangle R. `m_sweep` assembles and factors once;
+each m reads a leading block of R.
 """
 
 from dataclasses import dataclass
@@ -106,31 +110,60 @@ def assemble(expr, mapped, cfg):
     return P, lam, x, dropped
 
 
-def solve_ls(P, lam, cfg):
-    """Scaled least-squares solve with residual and conditioning diagnostics."""
-    P = np.asarray(P, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if cfg.weights is not None:
-        sw = np.sqrt(cfg.weights)
-        Pw = P * sw[:, None]
-        lw = lam * sw
-    else:
-        Pw, lw = P, lam
+def _require_finite(name, a):
+    bad = ~np.isfinite(a)
+    if bad.any():
+        raise ValueError(f"{name} is non-finite at row {int(np.argwhere(bad)[0][0])}")
 
-    if cfg.scaling == "column_norm":
-        s = np.linalg.norm(Pw, axis=0)
+
+def _factor(P, lam, weights, scaling):
+    """The triangle R of the Householder QR of [Ps | lw], and the scales s.
+
+    Rows are weighted by sqrt(weights); with column_norm scaling each column
+    of P is divided by its (weighted) 2-norm, zero columns left as they are.
+    [Ps | lw] is written into one Fortran-order array, the only copy made
+    before the factorization's own.
+    """
+    _require_finite("P", P)
+    _require_finite("lam", lam)
+    rows, n = P.shape
+    A = np.empty((rows, n + 1), order="F")
+    if weights is not None:
+        _require_finite("weights", weights)
+        sw = np.sqrt(weights)
+        np.multiply(P, sw[:, None], out=A[:, :n])
+        np.multiply(lam, sw, out=A[:, n])
+    else:
+        A[:, :n] = P
+        A[:, n] = lam
+    if scaling == "column_norm":
+        s = np.linalg.norm(A[:, :n], axis=0)
         s[s == 0.0] = 1.0
+        A[:, :n] /= s
     else:
-        s = np.ones(P.shape[1])
-    Ps = Pw / s
+        s = np.ones(n)
+    return np.linalg.qr(A, mode="r"), s
 
-    sv = np.linalg.svd(Ps, compute_uv=False)
+
+def _solve_from_r(R, P, lam, s):
+    """The least-squares solve on P, the leading n columns of a factored system.
+
+    R is the triangle of the QR factorization of [Ps | lw], whose first n
+    columns are P weighted and divided by the scales s[:n]. Householder QR
+    works left to right, so R[:n, :n] is the triangle of those n columns and
+    R[:n, -1] is Q^T lw for them. The singular values of R[:n, :n] are those
+    of the scaled P; xi is the minimum-norm solution with lstsq's default
+    cut-off, and the residuals are formed explicitly from the unscaled P.
+    """
+    rows, n = P.shape
+    U, sv, Vt = np.linalg.svd(R[:n, :n], full_matrices=False)
     smax, smin = sv[0], sv[-1]
     rank_deficient = bool(smin < RANK_DEFICIENT_TOL * smax)
     cond = np.inf if smin == 0.0 else (smax / smin) ** 2
 
-    z, *_ = np.linalg.lstsq(Ps, lw, rcond=None)
-    xi = z / s
+    keep = sv > np.finfo(float).eps * max(rows, n) * smax
+    z = Vt[keep].T @ ((U[:, keep].T @ R[:n, -1]) / sv[keep])
+    xi = z / s[:n]
 
     r = P @ xi - lam
     return LSSolution(
@@ -142,6 +175,18 @@ def solve_ls(P, lam, cfg):
         cond_PtP=float(cond),
         rank_deficient=rank_deficient,
     )
+
+
+def solve_ls(P, lam, cfg):
+    """Scaled least-squares solve with residual and conditioning diagnostics.
+
+    One Householder QR of the scaled [P | lambda], then an SVD of the small
+    triangle; raises ValueError on a non-finite P, lambda or weight.
+    """
+    P = np.asarray(P, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    R, s = _factor(P, lam, cfg.weights, cfg.scaling)
+    return _solve_from_r(R, P, lam, s)
 
 
 def case_from_constraints(ode, constraints):
@@ -235,8 +280,8 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
     """Solve for each m and classify the sweep.
 
     Column k of P and its scale depend on T_k alone and lambda on no basis
-    element, so the system is assembled once at the largest valid m and
-    each m solves on the first m - 1 columns.
+    element, so the system is assembled and factored once at the largest
+    valid m; each m reads the leading (m - 1) x (m - 1) block of R.
     """
     ms = [int(m) for m in m_range]
     cfgs, errors = {}, {}
@@ -250,6 +295,7 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
             mapped = map_ode(ode)
             P, lam, _, _ = assemble(_embed(mapped, constraints), mapped,
                                     cfgs[max(cfgs)])
+            R, s = _factor(P, lam, None, scaling)
         except _ROW_ERRORS as exc:
             errors.update(dict.fromkeys(cfgs, str(exc)))
 
@@ -257,7 +303,7 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
     for m in ms:
         if m not in errors:
             try:
-                rows.append(solve_ls(P[:, :m - 1], lam, cfgs[m]).sweep_row(m))
+                rows.append(_solve_from_r(R, P[:, :m - 1], lam, s).sweep_row(m))
             except _ROW_ERRORS as exc:
                 errors[m] = str(exc)
         if m in errors:

@@ -244,6 +244,28 @@ def test_bad_m_flag_is_config_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("subcommand, m, expected", [
+    ("solve", "3..9", "solve takes --m as one integer, not '3..9'"),
+    ("sweep", "17", "sweep takes --m as a range a..b, not '17'"),
+    ("classify", "17", "classify takes --m as a range a..b, not '17'"),
+    ("classify", "3..9..12", "classify takes --m as a range a..b, not '3..9..12'"),
+])
+def test_m_of_the_wrong_shape_is_config_error(tmp_path, capsys, subcommand, m, expected):
+    code, out = run(tmp_path, subcommand, "catalog:eq26", "--m", m)
+    assert code == 3
+    assert capsys.readouterr().err == f"error[config]: {expected}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_control_m_range_is_config_error(tmp_path, capsys):
+    pfile = tmp_path / "ctl.json"
+    pfile.write_text(json.dumps(control_doc()))
+    code, out = run(tmp_path, "control", str(pfile), "--m", "3..9")
+    assert code == 3
+    assert "control takes --m as one integer" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("subcommand", ["sweep", "classify"])
 def test_every_m_failing_is_a_solve_error(tmp_path, capsys, subcommand):
     # f is singular at t = 0.5, a node of the 1001-point uniform grid

@@ -15,7 +15,15 @@ from tfc_solve import (
     solve_problem,
 )
 from tfc_solve.catalog import CATALOG
-from tfc_solve.solver import _make_solution, case_from_constraints
+from tfc_solve.solver import (
+    RANK_DEFICIENT_TOL,
+    LSSolution,
+    _embed,
+    _make_solution,
+    case_from_constraints,
+)
+
+EPS = np.finfo(float).eps
 
 
 def _eq19():
@@ -164,6 +172,112 @@ def test_solve_ls_weights_reweight_the_fit():
     assert np.max(np.abs(sol.xi - sol0.xi)) > 1e-6
 
 
+def _reference_solve_ls(P, lam, cfg):
+    """The former kernel: one SVD of the scaled P, then lstsq (gelsd)."""
+    P = np.asarray(P, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    if cfg.weights is not None:
+        sw = np.sqrt(cfg.weights)
+        Pw = P * sw[:, None]
+        lw = lam * sw
+    else:
+        Pw, lw = P, lam
+    if cfg.scaling == "column_norm":
+        s = np.linalg.norm(Pw, axis=0)
+        s[s == 0.0] = 1.0
+    else:
+        s = np.ones(P.shape[1])
+    Ps = Pw / s
+    sv = np.linalg.svd(Ps, compute_uv=False)
+    smax, smin = sv[0], sv[-1]
+    z, *_ = np.linalg.lstsq(Ps, lw, rcond=None)
+    xi = z / s
+    r = P @ xi - lam
+    return LSSolution(
+        xi=xi, residuals=r, residual_mean=float(np.mean(r)),
+        residual_abs_mean=float(np.mean(np.abs(r))), residual_std=float(np.std(r)),
+        cond_PtP=float(np.inf if smin == 0.0 else (smax / smin) ** 2),
+        rank_deficient=bool(smin < RANK_DEFICIENT_TOL * smax),
+    )
+
+
+def _assert_matches_reference(sol, ref):
+    # xi to a few times cond(PtP) * eps (measured: at most 9.5 at cond 1)
+    tol = 16.0 * max(ref.cond_PtP, 1.0) * EPS * max(1.0, np.max(np.abs(ref.xi)))
+    assert np.max(np.abs(sol.xi - ref.xi)) <= tol
+    assert sol.cond_PtP == pytest.approx(ref.cond_PtP, rel=1e-9)
+    assert sol.rank_deficient == ref.rank_deficient
+
+
+def _conditioned(rng, rows, n, cond_PtP):
+    """Random rows x n matrix with cond(P^T P) = cond_PtP."""
+    u, _ = np.linalg.qr(rng.normal(size=(rows, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (u * np.logspace(0, -0.5 * np.log10(cond_PtP), n)) @ v.T
+
+
+@pytest.mark.parametrize("scaling", ["none", "column_norm"])
+@pytest.mark.parametrize("cond_PtP", [1e0, 1e3, 1e6, 1e9, 1e12])
+def test_solve_ls_matches_svd_reference_across_conditioning(cond_PtP, scaling):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        P = _conditioned(rng, 300, 12, cond_PtP)
+        lam = rng.normal(size=300)  # inconsistent: a nonzero residual
+        cfg = _cfg(m=13, N=300, scaling=scaling)
+        sol, ref = solve_ls(P, lam, cfg), _reference_solve_ls(P, lam, cfg)
+        _assert_matches_reference(sol, ref)
+        if scaling == "none":
+            assert ref.cond_PtP == pytest.approx(cond_PtP, rel=1e-6)
+
+
+@pytest.mark.parametrize("scaling", ["none", "column_norm"])
+def test_solve_ls_duplicated_column_gives_minimum_norm_solution(scaling):
+    rng = np.random.default_rng(5)
+    P = rng.normal(size=(40, 5))
+    P[:, 3] = P[:, 1]  # exactly rank deficient
+    lam = rng.normal(size=40)
+    sol = solve_ls(P, lam, _cfg(m=6, N=40, scaling=scaling))
+    ref, *_ = np.linalg.lstsq(P, lam, rcond=None)
+    assert np.max(np.abs(sol.xi - ref)) <= 1e-12
+    assert sol.xi[1] == pytest.approx(sol.xi[3], rel=1e-12)
+    assert sol.rank_deficient
+
+
+@pytest.mark.parametrize("rows", [4, 5, 6])
+def test_solve_ls_few_rows(rows):
+    # rows <= n + 1, down to an underdetermined system: the triangle R of
+    # [P | lambda] is then wide, with fewer rows than n + 1.
+    rng = np.random.default_rng(rows)
+    P = rng.normal(size=(rows, 5))
+    lam = rng.normal(size=rows)
+    cfg = _cfg(m=2, N=4)
+    sol, ref = solve_ls(P, lam, cfg), _reference_solve_ls(P, lam, cfg)
+    _assert_matches_reference(sol, ref)
+    assert sol.residual_std == pytest.approx(ref.residual_std, abs=1e-12)
+
+
+def test_solve_ls_weights_and_no_scaling_match_reference():
+    rng = np.random.default_rng(6)
+    P = _conditioned(rng, 60, 8, 1e8)
+    lam = rng.normal(size=60)
+    w = rng.uniform(0.5, 2.0, 60)
+    for scaling in ("none", "column_norm"):
+        cfg = CollocationConfig(m=9, N=60, weights=w, scaling=scaling)
+        _assert_matches_reference(solve_ls(P, lam, cfg), _reference_solve_ls(P, lam, cfg))
+
+
+@pytest.mark.parametrize("name, bad", [("P", np.inf), ("lam", np.nan), ("weights", np.nan)])
+def test_solve_ls_rejects_non_finite_input(name, bad):
+    rng = np.random.default_rng(7)
+    args = {"P": rng.normal(size=(20, 3)), "lam": rng.normal(size=20),
+            "weights": np.ones(20)}
+    args[name][12] = bad
+    args[name][15] = bad  # only the first bad row is named
+    cfg = CollocationConfig(m=4, N=20, weights=args["weights"])
+    with pytest.raises(ValueError, match=f"^{name} is non-finite at row 12$"):
+        solve_ls(args["P"], args["lam"], cfg)
+
+
 def test_scaling_does_not_change_solution():
     ode = _eq19()
     c = CATALOG["eq19"].constraint_triples()
@@ -301,7 +415,41 @@ def test_solution_outside_interval_raises():
 
 # --- m sweep -------------------------------------------------------------------
 
-SWEEP_FIELDS = ("residual_mean", "residual_abs_mean", "residual_std", "cond_PtP")
+SWEEP_FIELDS = ("residual_mean", "residual_abs_mean", "residual_std")
+
+# A sweep row reads its m from the QR factorization of the largest-m system;
+# a per-m solve factors the m system itself. The two agree to roundoff, not
+# bit for bit. Largest |difference| / max(1, max|lambda|) per field over the
+# 5 catalog problems x uniform/Lobatto nodes (N = 1000), rounded up at the
+# second digit; measured 2.23e-12, 1.95e-13, 1.004e-12 with column scaling
+# and 1.37e-10, 7.59e-12, 6.306e-11 without.
+SWEEP_ABS_TOL = {
+    "column_norm": {"residual_mean": 2.3e-12, "residual_abs_mean": 2.0e-13,
+                    "residual_std": 1.1e-12},
+    "none": {"residual_mean": 1.4e-10, "residual_abs_mean": 7.6e-12,
+             "residual_std": 6.4e-11},
+}
+
+
+def _assert_sweep_rows_match(got_report, ref_report, lam, scaling):
+    unit = max(1.0, np.max(np.abs(lam)))
+    tol = {name: t * unit for name, t in SWEEP_ABS_TOL[scaling].items()}
+    assert got_report.classification == ref_report.classification
+    assert [r.m for r in got_report.per_m] == [r.m for r in ref_report.per_m]
+    for got, ref in zip(got_report.per_m, ref_report.per_m):
+        assert got.error is None
+        assert got.rank_deficient == ref.rank_deficient
+        for name in SWEEP_FIELDS:
+            assert abs(getattr(got, name) - getattr(ref, name)) <= tol[name], (got.m, name)
+        if ref.residual_std > 1e-8:
+            assert got.residual_std == pytest.approx(ref.residual_std, rel=1e-8), got.m
+        if ref.cond_PtP < 1e12:
+            assert got.cond_PtP == pytest.approx(ref.cond_PtP, rel=1e-9), got.m
+    # the best m may move only between rows at the same residual level
+    a, b = got_report.best_m, ref_report.best_m
+    for report in (got_report, ref_report):
+        diff = report.row(a).residual_std - report.row(b).residual_std
+        assert abs(diff) <= tol["residual_std"], (a, b)
 
 
 @pytest.mark.parametrize("scaling", ["column_norm", "none"])
@@ -312,31 +460,45 @@ def test_m_sweep_matches_per_m_solves(pid, nodes, scaling):
     ode, constraints = entry.ode(), entry.constraint_triples()
     m_range = range(entry.sweep[0], entry.sweep[1] + 1)
     report = m_sweep(ode, constraints, m_range, N=1000, nodes=nodes, scaling=scaling)
-    rows = [solve_problem(ode, constraints, _cfg(m=m, nodes=nodes, scaling=scaling))
-            .sweep_row(m) for m in m_range]
-    expected = diagnostics.make_report(rows)
-    assert report.classification == expected.classification
-    assert report.best_m == expected.best_m
-    assert [r.m for r in report.per_m] == list(m_range)
-    for got, ref in zip(report.per_m, expected.per_m):
-        assert got.error is None
-        assert got.rank_deficient == ref.rank_deficient
-        for name in SWEEP_FIELDS:
-            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-12,
-                                                       abs=0.0), (got.m, name)
+    mapped = map_ode(ode)
+    P, lam, _, _ = assemble(_embed(mapped, constraints), mapped,
+                            _cfg(m=m_range[-1], nodes=nodes, scaling=scaling))
+    rows = []
+    for m in m_range:
+        cfg = _cfg(m=m, nodes=nodes, scaling=scaling)
+        row = solve_problem(ode, constraints, cfg).sweep_row(m)
+        # a per-m solve is solve_ls on a column slice of the largest system
+        assert row == solve_ls(P[:, :m - 1], lam, cfg).sweep_row(m)
+        rows.append(row)
+    _assert_sweep_rows_match(report, diagnostics.make_report(rows), lam, scaling)
 
 
 def test_m_sweep_invalid_configs_get_their_own_rows():
     ode, constraints = _eq26(), CATALOG["eq26"].constraint_triples()
     report = m_sweep(ode, constraints, range(3, 26), N=20)
     assert [r.m for r in report.per_m] == list(range(3, 26))
+    mapped = map_ode(ode)
+    _, lam, _, _ = assemble(_embed(mapped, constraints), mapped, _cfg(m=19, N=20))
+    tol = SWEEP_ABS_TOL["column_norm"]["residual_std"] * max(1.0, np.max(np.abs(lam)))
     for r in report.per_m:
         if r.m >= 20:
             assert r.error == "need N >= m + 1"
         else:
             ref = solve_problem(ode, constraints, _cfg(m=r.m, N=20))
             assert r.error is None
-            assert r.residual_std == pytest.approx(ref.residual_std, rel=1e-12, abs=0.0)
+            assert abs(r.residual_std - ref.residual_std) <= tol
+            if ref.residual_std > 1e-8:
+                assert r.residual_std == pytest.approx(ref.residual_std, rel=1e-8)
+
+
+def test_m_sweep_non_finite_system_gives_error_rows():
+    # f2 = 1e307 overflows the k >= 3 columns of P to inf
+    ode = LinearODE2(f2=lambda t: 1e307 + 0 * t, f1=lambda t: 0 * t,
+                     f0=lambda t: 0 * t, f=lambda t: 0 * t, t1=0.0, t2=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = m_sweep(ode, [(0, 0.0, 0.0), (0, 1.0, 1.0)], range(3, 6), N=50)
+    assert [r.error for r in report.per_m] == ["P is non-finite at row 0"] * 3
+    assert report.best_m == -1
 
 
 def test_m_sweep_node_singularity_gives_error_rows():

@@ -2,11 +2,7 @@
 expressions and Chebyshev collocation."""
 
 from .chebyshev import BasisEval, endpoint_values, eval_basis, eval_basis_grid
-from .control import (
-    StateCostateProblem,
-    alternative_embeddings,
-    solve_state_costate,
-)
+from .control import StateCostateProblem, solve_state_costate
 from .diagnostics import SolveReport, SweepRow, classify
 from .embedding import (
     BetaSet,
@@ -16,7 +12,6 @@ from .embedding import (
     build_betas,
     build_relative_betas,
     fixed_case_expression,
-    generic_case_expression,
 )
 from .errors import (
     DivisorZero,

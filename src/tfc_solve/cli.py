@@ -123,9 +123,12 @@ class LoadedProblem:
             try:
                 loc = c["at"]
                 loc = at[loc] if isinstance(loc, str) else float(loc)
-                self.constraints.append((int(c["order"]), loc, float(c["value"])))
+                order, value = c["order"], float(c["value"])
             except (KeyError, TypeError, ValueError):
                 raise ProblemFileError(f"bad constraint entry {c!r}") from None
+            if order not in (0, 1, 2):
+                raise ProblemFileError(f"constraint order {order!r} is not 0, 1 or 2")
+            self.constraints.append((int(order), loc, value))
 
     def _load_control(self, data):
         t1, t2 = self.interval

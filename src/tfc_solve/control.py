@@ -13,7 +13,10 @@ is solved with the constrained expressions
 where h is the Chebyshev basis in the mapped variable and the state is
 structured as x = {x, xdot}. Both boundary conditions hold exactly for
 any coefficients; the collocated dynamics residual is minimized by
-least squares over (alpha, beta, gamma).
+least squares over (alpha, beta, gamma) with the scalar solver's kernel,
+`solver.solve_ls`. The constant basis element vanishes exactly from
+h - h0, hdot, hddot and h - hf, so its three coefficients are zero and
+the block system has columns for basis elements 1..m only.
 """
 
 from dataclasses import dataclass
@@ -25,8 +28,6 @@ from .chebyshev import _clip_to_interval, eval_basis_grid
 from .errors import NodeSingularity
 from .mapping import DomainMap
 from .solver import CollocationConfig, solve_ls
-
-ZERO_COLUMN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class StateCostateSolution:
     residual_std: float
     cond_PtP: float
     rank_deficient: bool
-    dropped_columns: tuple
 
 
 def _blocks_at(fn, name, tnodes):
@@ -111,28 +111,29 @@ def assemble_state_costate(problem, cfg):
     """Block system M (alpha, beta, gamma) = rhs over the collocation nodes.
 
     Rows per node: the two state equations then the two costate equations.
-    Columns whose assembled entries vanish identically (the constant basis
-    element, annihilated by the h - h0 and h - hf differences) are dropped
-    and reported.
+    Columns: basis elements 1..m of alpha, then of beta, then of gamma. M is
+    Fortran-ordered, the order the least-squares kernel copies it into.
     """
     dmap = DomainMap(problem.t0, problem.tf)
     tnodes = dmap.to_t(dmap.nodes(cfg.N, cfg.nodes))
     m = cfg.m
-    nb = m + 1
-    h, hd, hdd = _basis_in_t(dmap, m, tnodes)
-    h0 = _basis_in_t(dmap, m, [problem.t0])
-    hf = _basis_in_t(dmap, m, [problem.tf])
+    h, hd, hdd = _basis_in_t(dmap, m, tnodes)[:, 1:]
+    h0 = _basis_in_t(dmap, m, [problem.t0])[:, 1:]
+    hf = _basis_in_t(dmap, m, [problem.tf])[:, 1:]
     A11, A12, A21, A22 = (_blocks_at(getattr(problem, name), name, tnodes)
                           for name in ("A11", "A12", "A21", "A22"))
 
-    # Node-major stacks: Hx[j] = [h - h0; hdot - hdot0] at node j, (N, 2, nb).
+    # Node-major stacks: Hx[j] = [h - h0; hdot - hdot0] at node j, (N, 2, m).
     Hx = np.stack([(h - h0[0]).T, (hd - h0[1]).T], axis=1)
     Gxd = np.stack([hd.T, hdd.T], axis=1)
-    dhf = (h - hf[0]).T[:, None, :]          # (N, 1, nb)
+    dhf = (h - hf[0]).T[:, None, :]          # (N, 1, m)
     hdT = hd.T
 
     # M4[j, row, block, k]: row 0-1 state, 2-3 costate; block alpha/beta/gamma.
-    M4 = np.empty((cfg.N, 4, 3, nb))
+    # It is a view of the C-ordered buf[block, k, j, row], whose (3m, 4N)
+    # reshape is the transpose of M.
+    buf = np.empty((3, m, cfg.N, 4))
+    M4 = buf.transpose(2, 3, 0, 1)
     M4[:, :2, 0] = Gxd - A11 @ Hx
     M4[:, 2:, 0] = -A21 @ Hx
     # Beta (k = 0) feeds lambda row 0 and gamma (k = 1) row 1, so a @ [dhf; 0]
@@ -147,28 +148,18 @@ def assemble_state_costate(problem, cfg):
     x0 = np.asarray(problem.x0, dtype=float)
     lf = np.asarray(problem.lambda_f, dtype=float)
     rhs = np.concatenate([A11 @ x0 + A12 @ lf, A21 @ x0 + A22 @ lf], axis=1)
-    return M4.reshape(4 * cfg.N, 3 * nb), rhs.ravel()
+    return buf.reshape(3 * m, 4 * cfg.N).T, rhs.ravel()
 
 
 def solve_state_costate(problem, cfg=None):
     """LS solve of the block system; boundary values exact by construction."""
     cfg = cfg or CollocationConfig(m=17, N=200)
     dmap = DomainMap(problem.t0, problem.tf)
-    nb = cfg.m + 1
     M, rhs = assemble_state_costate(problem, cfg)
-
-    norms = np.linalg.norm(M, axis=0)
-    keep = norms > ZERO_COLUMN_TOL * max(norms.max(), 1.0)
-    dropped = tuple(int(i) for i in np.nonzero(~keep)[0])
-
     # each node's weight applies to its four rows
     weights = None if cfg.weights is None else np.repeat(cfg.weights, 4)
-    ls_cfg = CollocationConfig(m=cfg.m, N=4 * cfg.N, weights=weights,
-                               scaling=cfg.scaling)
-    sol = solve_ls(M[:, keep], rhs, ls_cfg)
-    coeffs = np.zeros(3 * nb)
-    coeffs[keep] = sol.xi
-    alpha, beta, gamma = coeffs[:nb], coeffs[nb:2 * nb], coeffs[2 * nb:]
+    sol = solve_ls(M, rhs, weights, cfg.scaling)
+    alpha, beta, gamma = (np.r_[0.0, xi] for xi in sol.xi.reshape(3, cfg.m))
 
     h0 = _basis_in_t(dmap, cfg.m, [problem.t0])
     hf = _basis_in_t(dmap, cfg.m, [problem.tf])
@@ -189,56 +180,4 @@ def solve_state_costate(problem, cfg=None):
         alpha=alpha, beta=beta, gamma=gamma,
         residual_mean=sol.residual_mean, residual_std=sol.residual_std,
         cond_PtP=sol.cond_PtP, rank_deficient=sol.rank_deficient,
-        dropped_columns=dropped,
     )
-
-
-def alternative_embeddings(pattern):
-    """Constrained-expression pairs for other boundary-condition patterns.
-
-    "state_ic_pair": x(t0) = x0 and xdot(t0) = xdot0, costate free.
-    "terminal_transversality": x(t0) = x0 and lambda(tf) = x(tf).
-
-    Returns a builder taking the free functions and constants and giving
-    (x(t), lambda(t)) callables that satisfy the constraints identically.
-    """
-    if pattern == "state_ic_pair":
-
-        def build(g_x, dg_x, g_lam, t0, x0, xdot0):
-            x0 = np.asarray(x0, dtype=float)
-            xdot0 = np.asarray(xdot0, dtype=float)
-            gx0 = np.asarray(g_x(t0), dtype=float)
-            dgx0 = np.asarray(dg_x(t0), dtype=float)
-
-            def x_fn(t):
-                t = np.atleast_1d(np.asarray(t, dtype=float))
-                return (np.asarray(g_x(t)) + (x0 - gx0)[:, None]
-                        + np.outer(xdot0 - dgx0, t - t0))
-
-            def lam_fn(t):
-                return np.asarray(g_lam(np.atleast_1d(t)))
-
-            return x_fn, lam_fn
-
-        return build
-
-    if pattern == "terminal_transversality":
-
-        def build(g_x, g_lam, t0, tf, x0):
-            x0 = np.asarray(x0, dtype=float)
-            gx0 = np.asarray(g_x(t0), dtype=float)
-            gxf = np.asarray(g_x(tf), dtype=float)
-            glf = np.asarray(g_lam(tf), dtype=float)
-
-            def x_fn(t):
-                return np.asarray(g_x(np.atleast_1d(t))) + (x0 - gx0)[:, None]
-
-            def lam_fn(t):
-                return (np.asarray(g_lam(np.atleast_1d(t)))
-                        + (gxf + x0 - gx0 - glf)[:, None])
-
-            return x_fn, lam_fn
-
-        return build
-
-    raise ValueError(f"unknown embedding pattern {pattern!r}")

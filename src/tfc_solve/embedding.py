@@ -129,10 +129,6 @@ class ConstrainedExpression:
     def values(self):
         return np.array([c.value for c in self.constraints])
 
-    def g_derivatives_needed(self):
-        """(order, location) pairs of g required at the constraint points."""
-        return [(c.order, c.location) for c in self.constraints]
-
     def eval(self, x, g, dg, ddg, g_at_constraints):
         """Combine g samples with the constraint corrections.
 
@@ -148,13 +144,6 @@ class ConstrainedExpression:
         yp = np.asarray(dg, dtype=float) + corr @ b1
         ypp = np.asarray(ddg, dtype=float) + corr @ b2
         return y, yp, ypp
-
-    def eval_with(self, x, g_fn, dg_fn, ddg_fn):
-        """Evaluate from callables for g and its first two derivatives."""
-        fns = {0: g_fn, 1: dg_fn, 2: ddg_fn}
-        g_at = [float(fns[c.order](c.location)) for c in self.constraints]
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.eval(x, g_fn(x), dg_fn(x), ddg_fn(x), g_at)
 
 
 # The twelve published two-constraint cases. Each entry gives the
@@ -201,16 +190,6 @@ def fixed_case_expression(case_id, constraint_values):
         for (o, loc), v in zip(specs, constraint_values)
     ]
     return ConstrainedExpression(BetaSet(support, coeffs), constraints)
-
-
-def generic_case_expression(case_id, constraint_values):
-    """Same constraints as the fixed case, betas from the generic builder."""
-    specs, _ = FIXED_CASES[case_id]
-    constraints = [
-        ConstraintSpec(order=o, location=loc, value=float(v))
-        for (o, loc), v in zip(specs, constraint_values)
-    ]
-    return ConstrainedExpression(build_betas(constraints), constraints)
 
 
 class RelativeEmbedding:

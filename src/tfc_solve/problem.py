@@ -49,11 +49,6 @@ class MappedODE:
             out.append(v)
         return tuple(out)
 
-    def residual_operator(self, x, y, yp, ypp, coeffs=None):
-        """Full residual (4/dt^2) f2 y'' + (2/dt) f1 y' + f0 y - f at x."""
-        f2, f1, f0, f = coeffs if coeffs is not None else self.coefficients_at(x)
-        return self.homogeneous_operator(x, y, yp, ypp, (f2, f1, f0, f)) - f
-
     def homogeneous_operator(self, x, y, yp, ypp, coeffs=None):
         """The f-free part of the residual; linear in (y, y', y'')."""
         f2, f1, f0, _ = coeffs if coeffs is not None else self.coefficients_at(x)

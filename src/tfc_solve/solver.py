@@ -8,9 +8,13 @@ part. Indices k = 0, 1 are dropped: the constraint embedding already
 reproduces (or absorbs) the constant and linear directions, so the
 remaining columns span a complement of the embedding's null space.
 
-Each least-squares solve is one Householder QR of the scaled [P | lambda]
-and an SVD of its small triangle R. `m_sweep` assembles and factors once;
-each m reads a leading block of R.
+Constraints reach the solver as t-domain (order, at, value) triples, which
+are mapped to one of the twelve published cases of `embedding.FIXED_CASES`.
+
+`solve_ls(P, lam, weights, scaling)` is the least-squares kernel shared with
+the state/costate block solver: one Householder QR of the scaled
+[P | lambda] and an SVD of its small triangle R. `m_sweep` assembles and
+factors once; each m reads a leading block of R.
 """
 
 from dataclasses import dataclass
@@ -20,12 +24,13 @@ import numpy as np
 
 from . import diagnostics
 from .chebyshev import _clip_to_interval, eval_basis, eval_basis_grid
-from .embedding import fixed_case_expression
+from .embedding import FIXED_CASES, fixed_case_expression
 from .errors import TfcSolveError
 from .problem import map_ode
 
-DROPPED_K = (0, 1)
 RANK_DEFICIENT_TOL = 1e-13
+# published case ids by their x-domain (order, location) pairs
+_CASE_IDS = {specs: case_id for case_id, (specs, _) in FIXED_CASES.items()}
 
 
 @dataclass(frozen=True)
@@ -45,8 +50,8 @@ class CollocationConfig:
             raise ValueError(f"unknown scaling {self.scaling!r}")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (self.N,) or np.any(w <= 0):
-                raise ValueError("weights must be length-N and strictly positive")
+            if w.shape != (self.N,) or not np.all(np.isfinite(w) & (w > 0)):
+                raise ValueError("weights must be length-N, finite and strictly positive")
             object.__setattr__(self, "weights", w)
 
 
@@ -60,7 +65,6 @@ class LSSolution:
     cond_PtP: float
     rank_deficient: bool
     solution: object = None
-    expr: object = None
 
     def sweep_row(self, m):
         return diagnostics.SweepRow(
@@ -105,9 +109,7 @@ def assemble(expr, mapped, cfg):
     yppc = vals @ b2
     lam = coeffs[3] - mapped.homogeneous_operator(x, yc, ypc, yppc, coeffs)
 
-    P = cols[2:].T  # drop k = 0, 1
-    dropped = cols[list(DROPPED_K)].T
-    return P, lam, x, dropped
+    return cols[2:].T, lam  # drop k = 0, 1
 
 
 def _require_finite(name, a):
@@ -177,63 +179,45 @@ def _solve_from_r(R, P, lam, s):
     )
 
 
-def solve_ls(P, lam, cfg):
+def solve_ls(P, lam, weights=None, scaling="column_norm"):
     """Scaled least-squares solve with residual and conditioning diagnostics.
 
-    One Householder QR of the scaled [P | lambda], then an SVD of the small
-    triangle; raises ValueError on a non-finite P, lambda or weight.
+    Rows are weighted by sqrt(weights), one weight per row; scaling is
+    "column_norm" or "none". One Householder QR of the scaled [P | lambda],
+    then an SVD of the small triangle; raises ValueError on a non-finite P,
+    lambda or weight.
     """
     P = np.asarray(P, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    R, s = _factor(P, lam, cfg.weights, cfg.scaling)
+    R, s = _factor(P, lam, weights, scaling)
     return _solve_from_r(R, P, lam, s)
 
 
-def case_from_constraints(ode, constraints):
-    """Resolve t-domain (order, at, value) triples to a fixed case id.
+def _expression(mapped, constraints):
+    """The published constrained expression for either encoding solve_problem takes.
 
-    `at` must equal t1 or t2 (within 1e-12 of the interval width).
-    Returns (case_id, x-scaled constraint values ordered as the case
-    expects: the t1 constraint first, then the t2 constraint; for IVPs
-    the lower derivative order first).
+    t-domain (order, at, value) triples, `at` equal to t1 or t2 within 1e-12
+    of the interval width, become x-domain (order, -1 or 1) pairs sorted by
+    location then order, the order each case lists its constraints in.
     """
-    if len(constraints) != 2:
-        raise ValueError("the second-order solver takes exactly 2 constraints")
-    dt = ode.t2 - ode.t1
-    tol = 1e-12 * max(abs(dt), 1.0)
+    if constraints and isinstance(constraints[0], str):
+        return fixed_case_expression(*constraints)
+    dmap = mapped.map
+    tol = 1e-12 * max(dmap.delta_t, 1.0)
     tagged = []
     for order, at, value in constraints:
-        if abs(at - ode.t1) <= tol:
-            tagged.append((0, int(order), float(value)))
-        elif abs(at - ode.t2) <= tol:
-            tagged.append((1, int(order), float(value)))
+        if abs(at - dmap.t1) <= tol:
+            tagged.append((-1.0, order, float(value)))
+        elif abs(at - dmap.t2) <= tol:
+            tagged.append((1.0, order, float(value)))
         else:
             raise ValueError(f"constraint location {at!r} is neither t1 nor t2")
     tagged.sort()
-    names = {0: "y", 1: "dy", 2: "ddy"}
-    (e1, d1, v1), (e2, d2, v2) = tagged
-    if e1 == 0 and e2 == 0:
-        if d1 == d2:
-            raise ValueError("duplicate constraint order at t1")
-        case = f"IVP_{names[d1]}_{names[d2]}"
-    elif e1 == 0 and e2 == 1:
-        case = f"BVP_{names[d1]}_{names[d2]}"
-    else:
-        raise ValueError("constraints must involve t1, optionally t2")
-    return case, (d1, v1), (d2, v2)
-
-
-def _embed(mapped, constraints):
-    """The constrained expression for either encoding solve_problem takes."""
-    if isinstance(constraints, tuple) and isinstance(constraints[0], str):
-        case, values_x = constraints
-    else:
-        case, (d1, v1), (d2, v2) = case_from_constraints(mapped.ode, constraints)
-        values_x = (
-            mapped.map.scale_derivative_constraint(d1, v1),
-            mapped.map.scale_derivative_constraint(d2, v2),
-        )
-    return fixed_case_expression(case, values_x)
+    pairs = tuple((order, loc) for loc, order, _ in tagged)
+    if pairs not in _CASE_IDS:
+        raise ValueError(f"no published case has the (order, location) pairs {pairs}")
+    return fixed_case_expression(
+        _CASE_IDS[pairs], [dmap.scale_derivative_constraint(o, v) for _, o, v in tagged])
 
 
 def solve_problem(ode, constraints, cfg=None):
@@ -244,10 +228,9 @@ def solve_problem(ode, constraints, cfg=None):
     """
     cfg = cfg or CollocationConfig()
     mapped = map_ode(ode)
-    expr = _embed(mapped, constraints)
-    P, lam, x, _ = assemble(expr, mapped, cfg)
-    sol = solve_ls(P, lam, cfg)
-    sol.expr = expr
+    expr = _expression(mapped, constraints)
+    P, lam = assemble(expr, mapped, cfg)
+    sol = solve_ls(P, lam, cfg.weights, cfg.scaling)
     sol.solution = _make_solution(expr, mapped, cfg.m, sol.xi)
     return sol
 
@@ -293,8 +276,8 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
     if cfgs:
         try:
             mapped = map_ode(ode)
-            P, lam, _, _ = assemble(_embed(mapped, constraints), mapped,
-                                    cfgs[max(cfgs)])
+            P, lam = assemble(_expression(mapped, constraints), mapped,
+                              cfgs[max(cfgs)])
             R, s = _factor(P, lam, None, scaling)
         except _ROW_ERRORS as exc:
             errors.update(dict.fromkeys(cfgs, str(exc)))

@@ -88,13 +88,15 @@ def test_criterion_02_bvp_reproduction_with_derivatives():
 def test_criterion_03_unknown_solution_convergence_depth():
     """Known red: the Chebyshev basis cannot reach 1e-13 within the sweep cap.
 
-    f2 = 1 + 2t vanishes at t = -0.5, which maps to x = -2, so Chebyshev
-    convergence is bounded by the Bernstein-ellipse rate rho = 2 + sqrt(3)
-    ~ 3.73 per degree (measured: ~3.4 per degree over m = 15..28).
     residual_std is 3.86e-11 at the catalog's cap m = 23 and first drops
-    below 1e-13 at m = 28 (7.2e-14). Passing honestly needs a basis that
-    converges faster near that singularity (for example a conformally
-    mapped Chebyshev basis), not a larger sweep cap or a looser bound.
+    below 1e-13 at m = 28 (7.2e-14). The limit is the f0 term exp(cos 3t):
+    it is entire but grows fast, and at degree 23 on [0, 1] its Chebyshev
+    coefficient is 1.5e-12, about 19 times that of 1/(1 + 2t), the factor
+    from f2 = 1 + 2t vanishing at t = -0.5 (x = -2). So that singularity
+    is not the cause: a Moebius-mapped Chebyshev basis that moves it away
+    still leaves residual_std at 2.9e-12 at m = 23. Passing needs a basis
+    that resolves exp(cos 3t) at lower degree, not a larger sweep cap or
+    a looser bound.
     """
     entry, report = _sweep_catalog("sec42")
     best = report.row(report.best_m)

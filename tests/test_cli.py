@@ -231,6 +231,28 @@ def test_bad_expression_is_config_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("subcommand", ["solve", "sweep"])
+@pytest.mark.parametrize("order", [-1, 3, 1.5, "2"])
+def test_unsupported_constraint_order_is_config_error(tmp_path, capsys, subcommand, order):
+    doc = {
+        "schema_version": 1,
+        "kind": "bvp",
+        "interval": [0.0, 1.0],
+        "coefficients": {"f2": "1", "f1": "0", "f0": "0", "f": "0"},
+        "constraints": [
+            {"order": 0, "at": "t1", "value": 0.0},
+            {"order": order, "at": "t2", "value": 1.0},
+        ],
+    }
+    pfile = tmp_path / "order.json"
+    pfile.write_text(json.dumps(doc))
+    code, out = run(tmp_path, subcommand, str(pfile))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error[config]: constraint order {order!r} is not 0, 1 or 2\n")
+    assert not out.exists()
+
+
 def test_bad_schema_is_config_error(tmp_path):
     pfile = tmp_path / "schema.json"
     pfile.write_text(json.dumps({"schema_version": 2, "kind": "ivp",

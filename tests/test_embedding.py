@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tfc_solve import (
+    ConstrainedExpression,
     ConstraintSpec,
     DomainMap,
     RelativeConstraintSpec,
@@ -11,7 +12,6 @@ from tfc_solve import (
     build_betas,
     build_relative_betas,
     fixed_case_expression,
-    generic_case_expression,
 )
 from tfc_solve.embedding import FIXED_CASES, _monomial_deriv_row
 
@@ -238,8 +238,8 @@ def test_bvp_ddy_ddy_all_zero():
 
 def test_example1_first_derivative_constraint_with_exp():
     # first-derivative constraints at both ends, g = e^x
-    values = (0.25, -1.5)
-    expr = generic_case_expression("BVP_dy_dy", values)
+    constraints = [ConstraintSpec(1, -1.0, 0.25), ConstraintSpec(1, 1.0, -1.5)]
+    expr = ConstrainedExpression(build_betas(constraints), constraints)
 
     class ExpG:
         def deriv(self, x, order=0):
@@ -258,8 +258,6 @@ def test_example2_expression_with_quintic_g():
         ConstraintSpec(0, 2.0, 0.5),
         ConstraintSpec(1, 2.0, 4.0),
     ]
-    from tfc_solve import ConstrainedExpression
-
     expr = ConstrainedExpression(build_betas(constraints), constraints)
     g = PolyG([0, 0, 0, 0, 0, 1.0])
     for c in constraints:
@@ -284,7 +282,9 @@ def test_generic_matches_fixed(case_id):
     rng = np.random.default_rng(5)
     values = (0.7, -1.2)
     fixed = fixed_case_expression(case_id, values)
-    generic = generic_case_expression(case_id, values)
+    constraints = [ConstraintSpec(o, loc, v)
+                   for (o, loc), v in zip(FIXED_CASES[case_id][0], values)]
+    generic = ConstrainedExpression(build_betas(constraints), constraints)
     x = np.linspace(-1, 1, 101)
     g = random_g(rng)
     yf = eval_expr(fixed, x, g)[0]

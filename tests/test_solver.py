@@ -15,12 +15,12 @@ from tfc_solve import (
     solve_problem,
 )
 from tfc_solve.catalog import CATALOG
+from tfc_solve.embedding import ConstraintSpec
 from tfc_solve.solver import (
     RANK_DEFICIENT_TOL,
     LSSolution,
-    _embed,
+    _expression,
     _make_solution,
-    case_from_constraints,
 )
 
 EPS = np.finfo(float).eps
@@ -48,8 +48,7 @@ def test_first_node_quadratic_column():
     # [1, 4] catalog problem.
     mapped = map_ode(_eq19())
     expr = fixed_case_expression("IVP_y_dy", (0.0, 0.0))
-    P, lam, x, _ = assemble(expr, mapped, _cfg())
-    assert x[0] == -1.0
+    P, _ = assemble(expr, mapped, _cfg())
     assert P[0, 0] == pytest.approx(16.0 / 9.0, abs=1e-12)
 
 
@@ -62,8 +61,9 @@ def test_assemble_matches_independent_construction():
     cfg = _cfg(m=m, N=N)
     v1, v2 = 1.0, 0.75  # x-scaled constraint values
     expr = fixed_case_expression("IVP_y_dy", (v1, v2))
-    P, lam, x, _ = assemble(expr, mapped, cfg)
+    P, lam = assemble(expr, mapped, cfg)
 
+    x = mapped.map.nodes(N)
     t = mapped.map.to_t(x)
     f2 = t**2
     f1 = -t * (t + 2.0)
@@ -92,8 +92,22 @@ def test_assemble_matches_independent_construction():
 def test_lambda_zero_for_homogeneous_zero_constraints():
     mapped = map_ode(_eq19())
     expr = fixed_case_expression("IVP_y_dy", (0.0, 0.0))
-    _, lam, _, _ = assemble(expr, mapped, _cfg(m=8, N=50))
+    _, lam = assemble(expr, mapped, _cfg(m=8, N=50))
     assert np.max(np.abs(lam)) == 0.0
+
+
+def _dropped_columns(case_id, mapped, N):
+    """The k = 0, 1 columns assembly leaves out: the operator on embedded T_0, T_1."""
+    expr = fixed_case_expression(case_id, (0.0, 0.0))
+    x = mapped.map.nodes(N)
+    coeffs = mapped.coefficients_at(x)
+    cols = []
+    for k in (0, 1):
+        Tk = C.Chebyshev.basis(k)
+        g_at = [Tk.deriv(c.order)(c.location) for c in expr.constraints]
+        y, yp, ypp = expr.eval(x, Tk(x), Tk.deriv(1)(x), Tk.deriv(2)(x), g_at)
+        cols.append(mapped.homogeneous_operator(x, y, yp, ypp, coeffs))
+    return np.column_stack(cols)
 
 
 @pytest.mark.parametrize("case_id", ["IVP_y_dy", "BVP_y_y", "BVP_y_dy", "BVP_dy_y"])
@@ -102,7 +116,8 @@ def test_dropped_columns_vanish_when_embedding_reproduces_affine(case_id):
     # k = 0, 1 columns are numerically zero.
     mapped = map_ode(_eq26())
     expr = fixed_case_expression(case_id, (0.3, -0.9))
-    P, _, _, dropped = assemble(expr, mapped, _cfg(m=10, N=60))
+    P, _ = assemble(expr, mapped, _cfg(m=10, N=60))
+    dropped = _dropped_columns(case_id, mapped, 60)
     scale = np.max(np.abs(P))
     assert np.max(np.abs(dropped)) <= 1e-12 * scale
 
@@ -112,7 +127,8 @@ def test_dropped_columns_nonzero_for_second_derivative_case():
     # but those directions still lie in the span of the kept columns.
     mapped = map_ode(_eq26())
     expr = fixed_case_expression("BVP_ddy_ddy", (0.0, 0.0))
-    P, _, _, dropped = assemble(expr, mapped, _cfg(m=10, N=60))
+    P, _ = assemble(expr, mapped, _cfg(m=10, N=60))
+    dropped = _dropped_columns("BVP_ddy_ddy", mapped, 60)
     assert np.max(np.abs(dropped)) > 1e-6
     resid = dropped - P @ np.linalg.lstsq(P, dropped, rcond=None)[0]
     assert np.max(np.abs(resid)) <= 1e-8 * np.max(np.abs(dropped))
@@ -124,7 +140,7 @@ def test_solve_ls_recovers_exact_solution():
     rng = np.random.default_rng(0)
     P = rng.normal(size=(50, 6))
     xi_true = rng.normal(size=6)
-    sol = solve_ls(P, P @ xi_true, _cfg(m=7, N=50))
+    sol = solve_ls(P, P @ xi_true)
     assert np.max(np.abs(sol.xi - xi_true)) <= 1e-12
     assert sol.residual_abs_mean <= 1e-13
     assert not sol.rank_deficient
@@ -132,7 +148,7 @@ def test_solve_ls_recovers_exact_solution():
 
 def test_solve_ls_orthonormal_conditioning():
     q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(40, 5)))
-    sol = solve_ls(q, np.zeros(40), _cfg(m=6, N=40, scaling="none"))
+    sol = solve_ls(q, np.zeros(40), scaling="none")
     assert sol.cond_PtP == pytest.approx(1.0, rel=1e-12)
 
 
@@ -142,7 +158,7 @@ def test_solve_ls_flags_rank_deficiency():
     P[:, 1] = 2.0 * P[:, 0]  # dependent column
     P[:, 2] = np.linspace(0, 1, 30) ** 2
     P[:, 3] = np.linspace(0, 1, 30) ** 3
-    sol = solve_ls(P, np.zeros(30), _cfg(m=5, N=30))
+    sol = solve_ls(P, np.zeros(30))
     assert sol.rank_deficient
     assert sol.cond_PtP > 1e20
 
@@ -151,7 +167,7 @@ def test_solve_ls_residual_statistics():
     # residual of an inconsistent 1-column system is known in closed form
     P = np.ones((4, 1))
     lam = np.array([0.0, 0.0, 0.0, 4.0])  # lstsq fit: xi = 1
-    sol = solve_ls(P, lam, _cfg(m=2, N=4))
+    sol = solve_ls(P, lam)
     assert sol.xi[0] == pytest.approx(1.0)
     assert sol.residual_mean == pytest.approx(0.0, abs=1e-14)
     assert sol.residual_abs_mean == pytest.approx(1.5)
@@ -163,26 +179,26 @@ def test_solve_ls_weights_reweight_the_fit():
     P = rng.normal(size=(20, 3))
     lam = rng.normal(size=20)
     w = rng.uniform(0.5, 2.0, 20)
-    sol = solve_ls(P, lam, CollocationConfig(m=4, N=20, weights=w))
+    sol = solve_ls(P, lam, w)
     sw = np.sqrt(w)
     ref, *_ = np.linalg.lstsq(P * sw[:, None], lam * sw, rcond=None)
     assert np.max(np.abs(sol.xi - ref)) <= 1e-10
     # unweighted answer differs
-    sol0 = solve_ls(P, lam, _cfg(m=4, N=20))
+    sol0 = solve_ls(P, lam)
     assert np.max(np.abs(sol.xi - sol0.xi)) > 1e-6
 
 
-def _reference_solve_ls(P, lam, cfg):
+def _reference_solve_ls(P, lam, weights=None, scaling="column_norm"):
     """The former kernel: one SVD of the scaled P, then lstsq (gelsd)."""
     P = np.asarray(P, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if cfg.weights is not None:
-        sw = np.sqrt(cfg.weights)
+    if weights is not None:
+        sw = np.sqrt(weights)
         Pw = P * sw[:, None]
         lw = lam * sw
     else:
         Pw, lw = P, lam
-    if cfg.scaling == "column_norm":
+    if scaling == "column_norm":
         s = np.linalg.norm(Pw, axis=0)
         s[s == 0.0] = 1.0
     else:
@@ -223,8 +239,8 @@ def test_solve_ls_matches_svd_reference_across_conditioning(cond_PtP, scaling):
         rng = np.random.default_rng(seed)
         P = _conditioned(rng, 300, 12, cond_PtP)
         lam = rng.normal(size=300)  # inconsistent: a nonzero residual
-        cfg = _cfg(m=13, N=300, scaling=scaling)
-        sol, ref = solve_ls(P, lam, cfg), _reference_solve_ls(P, lam, cfg)
+        sol = solve_ls(P, lam, scaling=scaling)
+        ref = _reference_solve_ls(P, lam, scaling=scaling)
         _assert_matches_reference(sol, ref)
         if scaling == "none":
             assert ref.cond_PtP == pytest.approx(cond_PtP, rel=1e-6)
@@ -236,7 +252,7 @@ def test_solve_ls_duplicated_column_gives_minimum_norm_solution(scaling):
     P = rng.normal(size=(40, 5))
     P[:, 3] = P[:, 1]  # exactly rank deficient
     lam = rng.normal(size=40)
-    sol = solve_ls(P, lam, _cfg(m=6, N=40, scaling=scaling))
+    sol = solve_ls(P, lam, scaling=scaling)
     ref, *_ = np.linalg.lstsq(P, lam, rcond=None)
     assert np.max(np.abs(sol.xi - ref)) <= 1e-12
     assert sol.xi[1] == pytest.approx(sol.xi[3], rel=1e-12)
@@ -250,8 +266,7 @@ def test_solve_ls_few_rows(rows):
     rng = np.random.default_rng(rows)
     P = rng.normal(size=(rows, 5))
     lam = rng.normal(size=rows)
-    cfg = _cfg(m=2, N=4)
-    sol, ref = solve_ls(P, lam, cfg), _reference_solve_ls(P, lam, cfg)
+    sol, ref = solve_ls(P, lam), _reference_solve_ls(P, lam)
     _assert_matches_reference(sol, ref)
     assert sol.residual_std == pytest.approx(ref.residual_std, abs=1e-12)
 
@@ -262,8 +277,8 @@ def test_solve_ls_weights_and_no_scaling_match_reference():
     lam = rng.normal(size=60)
     w = rng.uniform(0.5, 2.0, 60)
     for scaling in ("none", "column_norm"):
-        cfg = CollocationConfig(m=9, N=60, weights=w, scaling=scaling)
-        _assert_matches_reference(solve_ls(P, lam, cfg), _reference_solve_ls(P, lam, cfg))
+        _assert_matches_reference(solve_ls(P, lam, w, scaling),
+                                  _reference_solve_ls(P, lam, w, scaling))
 
 
 @pytest.mark.parametrize("name, bad", [("P", np.inf), ("lam", np.nan), ("weights", np.nan)])
@@ -273,9 +288,8 @@ def test_solve_ls_rejects_non_finite_input(name, bad):
             "weights": np.ones(20)}
     args[name][12] = bad
     args[name][15] = bad  # only the first bad row is named
-    cfg = CollocationConfig(m=4, N=20, weights=args["weights"])
     with pytest.raises(ValueError, match=f"^{name} is non-finite at row 12$"):
-        solve_ls(args["P"], args["lam"], cfg)
+        solve_ls(args["P"], args["lam"], args["weights"])
 
 
 def test_scaling_does_not_change_solution():
@@ -330,7 +344,8 @@ def test_constraints_hold_for_any_coefficients():
     rng = np.random.default_rng(4)
     mapped = map_ode(entry.ode())
     xi = sol.xi + rng.normal(scale=10.0, size=sol.xi.shape)
-    perturbed = _make_solution(sol.expr, mapped, cfg.m, xi)
+    expr = _expression(mapped, entry.constraint_triples())
+    perturbed = _make_solution(expr, mapped, cfg.m, xi)
     y, _, _ = perturbed(np.array([0.0, 1.0]))
     assert y[0] == pytest.approx(1.0, abs=1e-10)
     assert y[1] == pytest.approx(3.0, abs=1e-10)
@@ -340,8 +355,8 @@ def test_residual_orthogonal_to_columns():
     mapped = map_ode(_eq19())
     expr = fixed_case_expression("IVP_y_dy", (1.0, 0.75))
     cfg = _cfg(m=10, N=200)
-    P, lam, _, _ = assemble(expr, mapped, cfg)
-    sol = solve_ls(P, lam, cfg)
+    P, lam = assemble(expr, mapped, cfg)
+    sol = solve_ls(P, lam)
     g = P.T @ sol.residuals
     assert np.max(np.abs(g)) <= 1e-9 * max(np.linalg.norm(P), 1.0)
 
@@ -368,23 +383,29 @@ def test_lobatto_nodes_supported():
 # --- constraint-case resolution --------------------------------------------
 
 def test_case_resolution_examples():
-    ode = _eq19()
-    case, c1, c2 = case_from_constraints(ode, [(1, 1.0, 0.0), (0, 1.0, 1.0)])
-    assert case == "IVP_y_dy"
-    assert c1 == (0, 1.0)
-    assert c2 == (1, 0.0)
-    case, _, _ = case_from_constraints(ode, [(2, 4.0, 0.5), (0, 1.0, 1.0)])
-    assert case == "BVP_y_ddy"
+    # eq19 lives on [1, 4]: dt = 3, so a second derivative scales by 9/4
+    mapped = map_ode(_eq19())
+    for triples, case_id, values in (
+            ([(1, 1.0, 0.0), (0, 1.0, 1.0)], "IVP_y_dy", (1.0, 0.0)),
+            ([(2, 4.0, 0.5), (0, 1.0, 1.0)], "BVP_y_ddy", (1.0, 1.125))):
+        expr = _expression(mapped, triples)
+        ref = fixed_case_expression(case_id, values)
+        assert expr.constraints == ref.constraints
+        assert expr.betas.monomial_support == ref.betas.monomial_support
+        assert np.array_equal(expr.betas.coefficients, ref.betas.coefficients)
 
 
 def test_case_resolution_errors():
-    ode = _eq19()
-    with pytest.raises(ValueError):
-        case_from_constraints(ode, [(0, 1.0, 0.0)])
-    with pytest.raises(ValueError):
-        case_from_constraints(ode, [(0, 2.0, 0.0), (0, 4.0, 1.0)])
-    with pytest.raises(ValueError):
-        case_from_constraints(ode, [(0, 4.0, 0.0), (1, 4.0, 1.0)])
+    mapped = map_ode(_eq19())
+    with pytest.raises(ValueError, match=r"pairs \(\(0, -1.0\),\)"):
+        _expression(mapped, [(0, 1.0, 0.0)])
+    with pytest.raises(ValueError, match="neither t1 nor t2"):
+        _expression(mapped, [(0, 2.0, 0.0), (0, 4.0, 1.0)])
+    with pytest.raises(ValueError, match=r"pairs \(\(0, 1.0\), \(1, 1.0\)\)"):
+        _expression(mapped, [(0, 4.0, 0.0), (1, 4.0, 1.0)])
+    for order in (-1, 3, 1.5):
+        with pytest.raises(ValueError, match=rf"pairs \(\(0, -1.0\), \({order}, 1.0\)\)"):
+            _expression(mapped, [(0, 1.0, 0.0), (order, 4.0, 1.0)])
 
 
 def test_config_validation():
@@ -396,6 +417,8 @@ def test_config_validation():
         CollocationConfig(scaling="rows")
     with pytest.raises(ValueError):
         CollocationConfig(m=4, N=10, weights=np.zeros(10))
+    with pytest.raises(ValueError):
+        CollocationConfig(m=4, N=10, weights=np.r_[np.nan, np.ones(9)])
 
 
 # --- solution domain ---------------------------------------------------------
@@ -461,14 +484,14 @@ def test_m_sweep_matches_per_m_solves(pid, nodes, scaling):
     m_range = range(entry.sweep[0], entry.sweep[1] + 1)
     report = m_sweep(ode, constraints, m_range, N=1000, nodes=nodes, scaling=scaling)
     mapped = map_ode(ode)
-    P, lam, _, _ = assemble(_embed(mapped, constraints), mapped,
-                            _cfg(m=m_range[-1], nodes=nodes, scaling=scaling))
+    P, lam = assemble(_expression(mapped, constraints), mapped,
+                      _cfg(m=m_range[-1], nodes=nodes, scaling=scaling))
     rows = []
     for m in m_range:
         cfg = _cfg(m=m, nodes=nodes, scaling=scaling)
         row = solve_problem(ode, constraints, cfg).sweep_row(m)
         # a per-m solve is solve_ls on a column slice of the largest system
-        assert row == solve_ls(P[:, :m - 1], lam, cfg).sweep_row(m)
+        assert row == solve_ls(P[:, :m - 1], lam, scaling=scaling).sweep_row(m)
         rows.append(row)
     _assert_sweep_rows_match(report, diagnostics.make_report(rows), lam, scaling)
 
@@ -478,7 +501,7 @@ def test_m_sweep_invalid_configs_get_their_own_rows():
     report = m_sweep(ode, constraints, range(3, 26), N=20)
     assert [r.m for r in report.per_m] == list(range(3, 26))
     mapped = map_ode(ode)
-    _, lam, _, _ = assemble(_embed(mapped, constraints), mapped, _cfg(m=19, N=20))
+    _, lam = assemble(_expression(mapped, constraints), mapped, _cfg(m=19, N=20))
     tol = SWEEP_ABS_TOL["column_norm"]["residual_std"] * max(1.0, np.max(np.abs(lam)))
     for r in report.per_m:
         if r.m >= 20:

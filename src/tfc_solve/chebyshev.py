@@ -66,12 +66,15 @@ def eval_basis_grid(m_max, d_max, x):
     out[0, 1] = x
     if d_max >= 1:
         out[1, 1] = 1.0
+    x2 = 2.0 * x
+    d2 = 2.0 * np.arange(1.0, d_max + 1.0)[:, None]
+    # Every order d at once, rounded as (2d T_k^(d-1) + 2x T_k^(d)) - T_{k-1}^(d);
+    # IEEE addition commutes, so adding the 2d term second keeps every bit.
     for k in range(1, m_max):
-        out[0, k + 1] = 2.0 * x * out[0, k] - out[0, k - 1]
-        for d in range(1, d_max + 1):
-            out[d, k + 1] = (
-                2.0 * d * out[d - 1, k] + 2.0 * x * out[d, k] - out[d, k - 1]
-            )
+        nxt = out[:, k + 1]
+        np.multiply(x2, out[:, k], out=nxt)
+        nxt[1:] += d2 * out[:-1, k]
+        nxt -= out[:, k - 1]
     return out
 
 

@@ -35,9 +35,11 @@ class StateCostateProblem:
     """d/dt {x, lambda} = [[A11, A12], [A21, A22]] {x, lambda} on [t0, tf].
 
     Each block is a callable of t. Called with an array of N times it may
-    return the block at every time, shape (2, 2, N); if it raises TypeError
-    or ValueError there, or returns another shape, it is called once per
-    time instead and must return a (2, 2) matrix.
+    return the block at every time, shape (2, 2, N), or one constant (2, 2)
+    matrix, which is used at every time when the calls at the first and the
+    last time return the same bits. Otherwise (it raises TypeError or
+    ValueError there, or returns another shape) it is called once per time
+    and must return a (2, 2) matrix.
     """
 
     A11: Callable
@@ -50,15 +52,16 @@ class StateCostateProblem:
     tf: float
 
 
-def _basis_in_t(dmap, m, t):
-    """h, hdot, hddot rows (t-derivatives) at times t in [t0, tf]; (3, m+1, N)."""
+def _basis_in_t(dmap, m, t, d_max=2):
+    """h, hdot, hddot rows (t-derivatives) at times t in [t0, tf] up to order
+    d_max; (d_max + 1, m + 1, len(t))."""
     x = _clip_to_interval(dmap.to_x(np.atleast_1d(np.asarray(t, dtype=float))))
-    grid = eval_basis_grid(m, 2, x)
-    return np.stack([
-        grid[0],
-        dmap.dydx_to_dydt(grid[1]),
-        dmap.d2ydx2_to_d2ydt2(grid[2]),
-    ])
+    grid = eval_basis_grid(m, d_max, x)
+    if d_max >= 1:
+        grid[1] = dmap.dydx_to_dydt(grid[1])
+    if d_max >= 2:
+        grid[2] = dmap.d2ydx2_to_d2ydt2(grid[2])
+    return grid
 
 
 @dataclass
@@ -74,13 +77,20 @@ class StateCostateSolution:
     rank_deficient: bool
 
 
+def _bits(v):
+    v = np.asarray(v, dtype=float)
+    return v.shape, v.tobytes()
+
+
 def _blocks_at(fn, name, tnodes):
     """One block of A at every node, as a finite (N, 2, 2) array.
 
     fn is called once with the whole node array and its value is used when
-    it has shape (2, 2, N). Otherwise (a TypeError or ValueError, or any
-    other shape, such as the (2, 2) of a constant) fn is called once per
-    node, and each value must be (2, 2).
+    it has shape (2, 2, N). A (2, 2) value, such as that of a constant
+    `lambda t: a`, is broadcast to every node when fn at the first and at
+    the last node returns the same bits. Otherwise (a TypeError or
+    ValueError, any other shape, or a (2, 2) the end nodes disagree with)
+    fn is called once per node, and each value must be (2, 2).
     """
     n = len(tnodes)
     try:
@@ -91,15 +101,19 @@ def _blocks_at(fn, name, tnodes):
         # contiguous like a per-node (2, 2), so each batched product below
         # runs the same matmul kernel the per-node form did
         a = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+    elif a is not None and a.shape == (2, 2) and all(
+            _bits(fn(t)) == _bits(a) for t in tnodes[[0, -1]]):
+        # every node sees one contiguous (2, 2), as the per-node stack holds
+        a = np.broadcast_to(np.ascontiguousarray(a), (n, 2, 2))
     else:
-        per_node = []
-        for t in tnodes:
-            v = np.asarray(fn(t), dtype=float)
-            if v.shape != (2, 2):
-                raise ValueError(
-                    f"{name} must return a 2x2 matrix at each node, got shape {v.shape}")
-            per_node.append(v)
-        a = np.stack(per_node)
+        values = [fn(t) for t in tnodes]
+        try:
+            a = np.array(values, dtype=float)
+        except ValueError as exc:  # values of different shapes, or not numbers
+            raise ValueError(f"{name} must return a 2x2 matrix at each node: {exc}") from None
+        if a.shape[1:] != (2, 2):
+            raise ValueError(
+                f"{name} must return a 2x2 matrix at each node, got shape {a.shape[1:]}")
     bad = ~np.isfinite(a)
     if bad.any():
         j, r, c = np.unravel_index(np.argmax(bad), bad.shape)
@@ -117,9 +131,10 @@ def assemble_state_costate(problem, cfg):
     dmap = DomainMap(problem.t0, problem.tf)
     tnodes = dmap.to_t(dmap.nodes(cfg.N, cfg.nodes))
     m = cfg.m
-    h, hd, hdd = _basis_in_t(dmap, m, tnodes)[:, 1:]
-    h0 = _basis_in_t(dmap, m, [problem.t0])[:, 1:]
-    hf = _basis_in_t(dmap, m, [problem.tf])[:, 1:]
+    # nodes, then t0 and tf, in one evaluation; each point's rows are its own
+    basis = _basis_in_t(dmap, m, np.r_[tnodes, problem.t0, problem.tf])[:, 1:]
+    h, hd, hdd = basis[:, :, :-2]
+    h0, hf = basis[:, :, -2:-1], basis[:, :, -1:]
     A11, A12, A21, A22 = (_blocks_at(getattr(problem, name), name, tnodes)
                           for name in ("A11", "A12", "A21", "A22"))
 
@@ -161,18 +176,18 @@ def solve_state_costate(problem, cfg=None):
     sol = solve_ls(M, rhs, weights, cfg.scaling)
     alpha, beta, gamma = (np.r_[0.0, xi] for xi in sol.xi.reshape(3, cfg.m))
 
-    h0 = _basis_in_t(dmap, cfg.m, [problem.t0])
-    hf = _basis_in_t(dmap, cfg.m, [problem.tf])
+    ends = _basis_in_t(dmap, cfg.m, [problem.t0, problem.tf], 1)
+    h0, hf = ends[:, :, :1], ends[:, :, 1:]
     x0 = np.asarray(problem.x0, dtype=float)
     lf = np.asarray(problem.lambda_f, dtype=float)
     bg = np.vstack([beta, gamma])
 
     def state(t):
-        h, hd, _ = _basis_in_t(dmap, cfg.m, t)
+        h, hd = _basis_in_t(dmap, cfg.m, t, 1)
         return x0[:, None] + np.vstack([alpha @ (h - h0[0]), alpha @ (hd - h0[1])])
 
     def costate(t):
-        h, _, _ = _basis_in_t(dmap, cfg.m, t)
+        h, = _basis_in_t(dmap, cfg.m, t, 0)
         return lf[:, None] + bg @ (h - hf[0])
 
     return StateCostateSolution(

@@ -12,9 +12,11 @@ Constraints reach the solver as t-domain (order, at, value) triples, which
 are mapped to one of the twelve published cases of `embedding.FIXED_CASES`.
 
 `solve_ls(P, lam, weights, scaling)` is the least-squares kernel shared with
-the state/costate block solver: one Householder QR of the scaled
-[P | lambda] and an SVD of its small triangle R. `m_sweep` assembles and
-factors once; each m reads a leading block of R.
+the state/costate block solver: a QR of the scaled [P | lambda], taken as
+the Householder QR of each block of rows followed by one QR of their stacked
+triangles, and an SVD of the small triangle R. `m_sweep` assembles and
+factors once; each m reads a leading block of R, which any QR's triangle
+provides.
 """
 
 from dataclasses import dataclass
@@ -29,6 +31,9 @@ from .errors import TfcSolveError
 from .problem import map_ode
 
 RANK_DEFICIENT_TOL = 1e-13
+# rows per Householder QR block in _factor; a block of 1024 x 64 doubles is
+# 512 KiB, and stays in cache while it is factored
+_QR_BLOCK_ROWS = 1024
 # published case ids by their x-domain (order, location) pairs
 _CASE_IDS = {specs: case_id for case_id, (specs, _) in FIXED_CASES.items()}
 
@@ -119,12 +124,14 @@ def _require_finite(name, a):
 
 
 def _factor(P, lam, weights, scaling):
-    """The triangle R of the Householder QR of [Ps | lw], and the scales s.
+    """The triangle R of a QR factorization of [Ps | lw], and the scales s.
 
     Rows are weighted by sqrt(weights); with column_norm scaling each column
     of P is divided by its (weighted) 2-norm, zero columns left as they are.
     [Ps | lw] is written into one Fortran-order array, the only copy made
-    before the factorization's own.
+    before the factorization's own. R is the Householder triangle of each
+    block of _QR_BLOCK_ROWS rows, then of those triangles stacked (the
+    tall-skinny QR); a system of one block is factored as a whole.
     """
     _require_finite("P", P)
     _require_finite("lam", lam)
@@ -144,18 +151,21 @@ def _factor(P, lam, weights, scaling):
         A[:, :n] /= s
     else:
         s = np.ones(n)
-    return np.linalg.qr(A, mode="r"), s
+    Rs = [np.linalg.qr(A[i:i + _QR_BLOCK_ROWS], mode="r")
+          for i in range(0, max(rows, 1), _QR_BLOCK_ROWS)]
+    return (Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")), s
 
 
 def _solve_from_r(R, P, lam, s):
     """The least-squares solve on P, the leading n columns of a factored system.
 
     R is the triangle of the QR factorization of [Ps | lw], whose first n
-    columns are P weighted and divided by the scales s[:n]. Householder QR
-    works left to right, so R[:n, :n] is the triangle of those n columns and
-    R[:n, -1] is Q^T lw for them. The singular values of R[:n, :n] are those
-    of the scaled P; xi is the minimum-norm solution with lstsq's default
-    cut-off, and the residuals are formed explicitly from the unscaled P.
+    columns are P weighted and divided by the scales s[:n]. R is upper
+    triangular, so [Ps | lw] = QR gives Ps = Q[:, :n] R[:n, :n]: R[:n, :n] is
+    the triangle of those n columns and R[:n, -1] is Q^T lw for them. The
+    singular values of R[:n, :n] are those of the scaled P; xi is the
+    minimum-norm solution with lstsq's default cut-off, and the residuals are
+    formed explicitly from the unscaled P.
     """
     rows, n = P.shape
     U, sv, Vt = np.linalg.svd(R[:n, :n], full_matrices=False)
@@ -183,9 +193,9 @@ def solve_ls(P, lam, weights=None, scaling="column_norm"):
     """Scaled least-squares solve with residual and conditioning diagnostics.
 
     Rows are weighted by sqrt(weights), one weight per row; scaling is
-    "column_norm" or "none". One Householder QR of the scaled [P | lambda],
-    then an SVD of the small triangle; raises ValueError on a non-finite P,
-    lambda or weight.
+    "column_norm" or "none". One QR of the scaled [P | lambda], over blocks
+    of rows, then an SVD of the small triangle; raises ValueError on a
+    non-finite P, lambda or weight.
     """
     P = np.asarray(P, dtype=float)
     lam = np.asarray(lam, dtype=float)

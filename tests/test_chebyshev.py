@@ -100,3 +100,30 @@ def test_bad_arguments():
         eval_basis(0, 0, 0.5)
     with pytest.raises(ValueError):
         eval_basis(3, -1, 0.5)
+
+
+def _grid_reference(m_max, d_max, x):
+    """The recurrence one order and one point set at a time."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros((d_max + 1, m_max + 1, x.size))
+    out[0, 0] = 1.0
+    out[0, 1] = x
+    if d_max >= 1:
+        out[1, 1] = 1.0
+    for k in range(1, m_max):
+        out[0, k + 1] = 2.0 * x * out[0, k] - out[0, k - 1]
+        for d in range(1, d_max + 1):
+            out[d, k + 1] = 2.0 * d * out[d - 1, k] + 2.0 * x * out[d, k] - out[d, k - 1]
+    return out
+
+
+def test_grid_bit_identical_to_reference_recurrence():
+    # uniform and Lobatto points with their endpoints, both signed zeros,
+    # and points within roundoff outside [-1, 1]
+    x = np.r_[np.linspace(-1.0, 1.0, 101), -np.cos(np.pi * np.arange(33) / 32),
+              0.0, -0.0, 1.0 + 5e-13, -1.0 - 5e-13]
+    for m in range(1, 41):
+        for d in range(4):
+            got, ref = eval_basis_grid(m, d, x), _grid_reference(m, d, x)
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (m, d)

@@ -12,6 +12,7 @@ from tfc_solve import (
     DomainMap,
     NodeSingularity,
     StateCostateProblem,
+    eval_basis_grid,
     shoot_state_costate,
     solve_state_costate,
 )
@@ -300,7 +301,7 @@ def counted(fn, calls):
     return wrapper
 
 
-@pytest.mark.parametrize("kind", ["array_numpy", "scalar_numpy"])
+@pytest.mark.parametrize("kind", ["array_numpy", "constant", "scalar_numpy"])
 def test_block_calls_per_assembly(kind):
     problem = A_KINDS[kind](None)
     calls = {name: [] for name in ("A11", "A12", "A21", "A22")}
@@ -311,8 +312,47 @@ def test_block_calls_per_assembly(kind):
     for c in calls.values():
         if kind == "array_numpy":
             assert c == [1]
+        elif kind == "constant":
+            # the (2, 2) of the array call, checked at the first and last node
+            assert c == [1, 0, 0]
         else:
             assert c == [1] + [0] * cfg.N
+
+
+# A (2, 2) from the array call that the end nodes disagree with: np.max(t)
+# differs at the first node, np.min(t) only at the last.
+@pytest.mark.parametrize("reduce, probes", [(np.max, 1), (np.min, 2)])
+def test_constant_looking_block_falls_back_to_per_node(reduce, probes):
+    def a22(t):
+        return np.array([[0.0, 1.0 + 0.5 * np.sin(reduce(t))], [-1.0, 0.0]])
+
+    calls = []
+    problem = replace(scalar_only_problem(), A22=counted(a22, calls))
+    cfg = CollocationConfig(m=10, N=50)
+    M, rhs = assemble_state_costate(problem, cfg)
+    assert calls == [1] + [0] * (probes + cfg.N)
+    M_ref, rhs_ref = assemble_per_node(problem, cfg)
+    assert_bit_identical(M, np.delete(M_ref, [0, cfg.m + 1, 2 * (cfg.m + 1)], axis=1))
+    assert_bit_identical(rhs, rhs_ref)
+
+
+def test_one_basis_evaluation_per_point_set(monkeypatch):
+    import tfc_solve.control as control
+
+    orders = []
+
+    def grid(m_max, d_max, x):
+        orders.append((d_max, np.size(x)))
+        return eval_basis_grid(m_max, d_max, x)
+
+    monkeypatch.setattr(control, "eval_basis_grid", grid)
+    sol = solve_state_costate(lqr_problem(), CollocationConfig(m=10, N=50))
+    # nodes with both ends, then both ends for the solution callables
+    assert orders == [(2, 52), (1, 2)]
+    orders.clear()
+    sol.state(np.linspace(0.0, 2.0, 7))
+    sol.costate(np.linspace(0.0, 2.0, 7))
+    assert orders == [(1, 7), (0, 7)]
 
 
 def test_callable_raising_type_error_propagates():
@@ -353,6 +393,15 @@ def test_non_finite_block_is_node_singularity(a11):
 def test_wrong_shaped_block_is_rejected(value, shape):
     problem = replace(lqr_problem(), A21=lambda t: value)
     with pytest.raises(ValueError, match=r"A21 .*got shape " + re.escape(shape)):
+        solve_state_costate(problem, CollocationConfig(m=8, N=40))
+
+
+def test_block_of_varying_shape_is_rejected():
+    def a21(t):
+        return np.eye(2) if t < 1.0 else np.eye(3)
+
+    problem = replace(lqr_problem(), A21=a21)
+    with pytest.raises(ValueError, match=r"^A21 must return a 2x2 matrix at each node: "):
         solve_state_costate(problem, CollocationConfig(m=8, N=40))
 
 

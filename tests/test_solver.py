@@ -496,6 +496,18 @@ def test_m_sweep_matches_per_m_solves(pid, nodes, scaling):
     _assert_sweep_rows_match(report, diagnostics.make_report(rows), lam, scaling)
 
 
+def test_m_sweep_over_row_blocks_matches_per_m_solves():
+    # N = 3000 rows are factored in three blocks and the stacked triangles
+    entry = CATALOG["eq26"]
+    ode, constraints = entry.ode(), entry.constraint_triples()
+    m_range = range(entry.sweep[0], entry.sweep[1] + 1)
+    report = m_sweep(ode, constraints, m_range, N=3000)
+    mapped = map_ode(ode)
+    _, lam = assemble(_expression(mapped, constraints), mapped, _cfg(m=m_range[-1], N=3000))
+    rows = [solve_problem(ode, constraints, _cfg(m=m, N=3000)).sweep_row(m) for m in m_range]
+    _assert_sweep_rows_match(report, diagnostics.make_report(rows), lam, "column_norm")
+
+
 def test_m_sweep_invalid_configs_get_their_own_rows():
     ode, constraints = _eq26(), CATALOG["eq26"].constraint_triples()
     report = m_sweep(ode, constraints, range(3, 26), N=20)

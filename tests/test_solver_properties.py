@@ -1,0 +1,39 @@
+"""Property tests of the least-squares kernel, derandomized so that every
+run draws the same examples."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tfc_solve.solver import _QR_BLOCK_ROWS, _factor
+
+
+def _row_signs_fixed(R):
+    d = np.sign(np.diagonal(R)).copy()
+    d[d == 0.0] = 1.0
+    return R * d[:, None]
+
+
+# Row counts around the block size: exact multiples of it, and a last block
+# with fewer rows than the n + 1 columns of [P | lambda].
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rows=st.integers(1, 3 * _QR_BLOCK_ROWS + 100), n=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=_QR_BLOCK_ROWS, n=20, seed=0)
+@example(rows=2 * _QR_BLOCK_ROWS, n=40, seed=1)
+@example(rows=3 * _QR_BLOCK_ROWS, n=7, seed=2)
+@example(rows=_QR_BLOCK_ROWS + 1, n=12, seed=3)
+@example(rows=2 * _QR_BLOCK_ROWS + 5, n=30, seed=4)
+def test_blocked_factor_matches_one_qr(rows, n, seed):
+    rng = np.random.default_rng(seed)
+    P = rng.normal(size=(rows, n))
+    lam = rng.normal(size=rows)
+    R, s = _factor(P, lam, None, "none")
+    ref = np.linalg.qr(np.column_stack([P, lam]), mode="r")
+    assert R.shape == ref.shape
+    assert np.array_equal(s, np.ones(n))
+    if rows <= _QR_BLOCK_ROWS:
+        # one block is one Householder QR of the whole system
+        assert np.array_equal(R, ref)
+    err = np.max(np.abs(_row_signs_fixed(R) - _row_signs_fixed(ref)))
+    assert err <= 1e-13 * np.linalg.norm(ref)

@@ -5,8 +5,9 @@ d-th derivatives follow the companion recurrence
 
     T_{k+1}^(d) = 2 d T_k^(d-1) + 2 x T_k^(d) - T_{k-1}^(d),
 
-so that the same quantities feed both the collocation matrix and the
-endpoint identities.
+which fills the collocation matrix. At x = -1 and x = +1, where the
+constraints sit, T_k^(d) has a closed form; `endpoint_rows` gives it for
+every k at once, bit for bit what the recurrence gives there.
 """
 
 from dataclasses import dataclass
@@ -61,19 +62,22 @@ def eval_basis_grid(m_max, d_max, x):
         raise ValueError("d_max must be >= 0")
     x = np.atleast_1d(_check_x(x))
     n = x.size
-    out = np.zeros((d_max + 1, m_max + 1, n))
+    out = np.empty((d_max + 1, m_max + 1, n))
+    out[:, :2] = 0.0
     out[0, 0] = 1.0
     out[0, 1] = x
     if d_max >= 1:
         out[1, 1] = 1.0
     x2 = 2.0 * x
     d2 = 2.0 * np.arange(1.0, d_max + 1.0)[:, None]
+    term = np.empty((d_max, n))
     # Every order d at once, rounded as (2d T_k^(d-1) + 2x T_k^(d)) - T_{k-1}^(d);
     # IEEE addition commutes, so adding the 2d term second keeps every bit.
     for k in range(1, m_max):
         nxt = out[:, k + 1]
         np.multiply(x2, out[:, k], out=nxt)
-        nxt[1:] += d2 * out[:-1, k]
+        np.multiply(d2, out[:-1, k], out=term)
+        nxt[1:] += term
         nxt -= out[:, k - 1]
     return out
 
@@ -86,18 +90,38 @@ def eval_basis(m_max, d_max, x):
     return BasisEval(m_max=m_max, x=float(x), values=values, derivs=derivs)
 
 
+def endpoint_rows(m_max, orders, endpoints):
+    """Closed-form T_k^(d)(e) for k = 0..m_max, one row per (d, e) pair.
+
+    d is 0, 1 or 2 and e is -1 or +1 (Mason & Handscomb, Chebyshev
+    Polynomials, 2003, section 2.4): at +1, (1, k^2, k^2 (k^2 - 1) / 3); at
+    -1 the same times (-1)^(k + d). Returns shape (len(orders), m_max + 1).
+    The values are integers, exact while k^2 (k^2 - 1) / 3 < 2^53, and carry
+    the recurrence's bits, its +0.0 included.
+    """
+    d = np.asarray(orders, dtype=int)
+    e = np.asarray(endpoints, dtype=float)
+    if np.any((e != 1.0) & (e != -1.0)):
+        raise ValueError("endpoint must be -1 or +1")
+    if np.any((d < 0) | (d > 2)):
+        raise ValueError("derivative order must be 0, 1 or 2")
+    k = np.arange(m_max + 1.0)
+    k2 = k * k
+    at_one = np.stack([np.ones_like(k), k2, k2 * (k2 - 1.0) / 3.0])[d]
+    flip = (e[:, None] < 0.0) & ((np.arange(m_max + 1) + d[:, None]) % 2 == 1)
+    # + 0.0 turns the -0.0 of k^2 (k^2 - 1) / 3 at k = 0, and of a flipped
+    # zero, into the recurrence's +0.0
+    return np.where(flip, -at_one, at_one) + 0.0
+
+
 def endpoint_values(k, endpoint):
     """Closed-form (T_k, T_k', T_k'') at x = -1 or x = +1.
 
     At +1: (1, k^2, k^2 (k^2 - 1) / 3); at -1 the same with alternating signs.
+    These are the values of `endpoint_rows`, from which the solver builds its
+    constraint rows.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if endpoint not in (-1, 1):
-        raise ValueError("endpoint must be -1 or +1")
-    k = float(k)
-    t0, t1, t2 = 1.0, k * k, k * k * (k * k - 1.0) / 3.0
-    if endpoint == -1:
-        s = -1.0 if int(k) % 2 else 1.0
-        return (s, -s * t1, s * t2)
-    return (t0, t1, t2)
+    k = int(k)
+    return tuple(float(v) for v in endpoint_rows(k, (0, 1, 2), (endpoint,) * 3)[:, k])

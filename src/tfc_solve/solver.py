@@ -10,6 +10,10 @@ remaining columns span a complement of the embedding's null space.
 
 Constraints reach the solver as t-domain (order, at, value) triples, which
 are mapped to one of the twelve published cases of `embedding.FIXED_CASES`.
+Every constraint sits at x = -1 or +1, so its row of T_k^(d) values comes
+from the closed forms of `chebyshev.endpoint_rows`; the basis recurrence
+runs once per point set (the nodes, or the points a solution is asked at)
+and never at a single point.
 
 `solve_ls(P, lam, weights, scaling)` is the least-squares kernel shared with
 the state/costate block solver: a QR of the scaled [P | lambda], taken as
@@ -25,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .chebyshev import _clip_to_interval, eval_basis, eval_basis_grid
+from .chebyshev import _clip_to_interval, endpoint_rows, eval_basis_grid
 from .embedding import FIXED_CASES, fixed_case_expression
 from .errors import TfcSolveError
 from .problem import map_ode
@@ -83,12 +87,13 @@ class LSSolution:
 
 
 def _constraint_basis_values(expr, m):
-    """g_at_constraints for g = T_k, all k: array of shape (n, m + 1)."""
-    out = np.zeros((len(expr.constraints), m + 1))
-    for i, c in enumerate(expr.constraints):
-        be = eval_basis(m, max(c.order, 1), c.location)
-        out[i] = be.values if c.order == 0 else be.derivs[c.order]
-    return out
+    """g_at_constraints for g = T_k, all k: array of shape (n, m + 1).
+
+    Row i is T_k^(d_i)(x_i) from the closed forms at x_i = -1 or +1; any
+    other location raises ValueError.
+    """
+    cs = expr.constraints
+    return endpoint_rows(m, [c.order for c in cs], [c.location for c in cs])
 
 
 def assemble(expr, mapped, cfg):
@@ -177,13 +182,18 @@ def _solve_from_r(R, P, lam, s):
     z = Vt[keep].T @ ((U[:, keep].T @ R[:n, -1]) / sv[keep])
     xi = z / s[:n]
 
+    # the add-reduce and divide of np.mean / np.std, without their
+    # dispatch, so the statistics keep numpy's bits
     r = P @ xi - lam
+    mean = r.sum() / rows
+    dev = r - mean
+    dev *= dev
     return LSSolution(
         xi=xi,
         residuals=r,
-        residual_mean=float(np.mean(r)),
-        residual_abs_mean=float(np.mean(np.abs(r))),
-        residual_std=float(np.std(r)),
+        residual_mean=float(mean),
+        residual_abs_mean=float(np.abs(r).sum() / rows),
+        residual_std=float(np.sqrt(dev.sum() / rows)),
         cond_PtP=float(cond),
         rank_deficient=rank_deficient,
     )

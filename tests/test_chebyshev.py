@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tfc_solve import DomainError, endpoint_values, eval_basis, eval_basis_grid
+from tfc_solve.chebyshev import endpoint_rows
 
 
 def test_base_cases():
@@ -117,6 +118,12 @@ def _grid_reference(m_max, d_max, x):
     return out
 
 
+def _assert_grid_bits(m, d, x):
+    got, ref = eval_basis_grid(m, d, x), _grid_reference(m, d, x)
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (m, d, x.size)
+
+
 def test_grid_bit_identical_to_reference_recurrence():
     # uniform and Lobatto points with their endpoints, both signed zeros,
     # and points within roundoff outside [-1, 1]
@@ -124,6 +131,39 @@ def test_grid_bit_identical_to_reference_recurrence():
               0.0, -0.0, 1.0 + 5e-13, -1.0 - 5e-13]
     for m in range(1, 41):
         for d in range(4):
-            got, ref = eval_basis_grid(m, d, x), _grid_reference(m, d, x)
-            assert got.shape == ref.shape
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), (m, d)
+            _assert_grid_bits(m, d, x)
+    # a large point set, and m_max = 1 (no recurrence step, so columns 0 and
+    # 1 are all the output) right after a freed array of NaNs of the same
+    # size, so that memory left uninitialised would show
+    for pts in (x, np.linspace(-1.0, 1.0, 10001)):
+        for d in range(4):
+            for m in (1, 2, 17):
+                dirty = np.full((d + 1, m + 1, pts.size), np.nan)
+                del dirty
+                _assert_grid_bits(m, d, pts)
+
+
+@pytest.mark.parametrize("endpoint", [-1.0, 1.0])
+def test_endpoint_rows_bit_identical_to_recurrence(endpoint):
+    # bytes, so that a -0.0 against the recurrence's +0.0 counts
+    for m in range(2, 41):
+        be = eval_basis(m, 2, endpoint)
+        ref = [be.values, be.derivs[1], be.derivs[2]]
+        rows = endpoint_rows(m, [0, 1, 2, 2, 0], [endpoint] * 5)
+        for i, d in enumerate([0, 1, 2, 2, 0]):
+            assert rows[i].tobytes() == ref[d].tobytes(), (m, d)
+
+
+def test_endpoint_rows_mixed_ends_and_orders():
+    rows = endpoint_rows(3, [1, 0, 2], [-1, 1, -1])
+    assert rows.tolist() == [[0.0, 1.0, -4.0, 9.0], [1.0, 1.0, 1.0, 1.0],
+                             [0.0, 0.0, 4.0, -24.0]]
+    assert np.array_equal(np.signbit(rows), rows < 0.0)  # no -0.0
+
+
+@pytest.mark.parametrize("orders, endpoints", [
+    ([0], [0.5]), ([1, 0], [1.0, -0.999]), ([0], [1.0 + 1e-15]), ([3], [1.0]),
+    ([-1], [-1.0])])
+def test_endpoint_rows_refuse_other_points_and_orders(orders, endpoints):
+    with pytest.raises(ValueError):
+        endpoint_rows(10, orders, endpoints)

@@ -19,6 +19,7 @@ from tfc_solve.embedding import ConstraintSpec
 from tfc_solve.solver import (
     RANK_DEFICIENT_TOL,
     LSSolution,
+    _constraint_basis_values,
     _expression,
     _make_solution,
 )
@@ -553,3 +554,31 @@ def test_m_sweep_propagates_programming_errors():
     ode = LinearODE2(f2=broken, f1=broken, f0=broken, f=broken, t1=0.0, t2=1.0)
     with pytest.raises(TypeError, match="coefficient bug"):
         m_sweep(ode, [(0, 0.0, 0.0), (0, 1.0, 0.0)], range(3, 8))
+
+
+def test_no_single_point_basis_evaluation(monkeypatch):
+    import tfc_solve.chebyshev as chebyshev
+    import tfc_solve.solver as solver
+
+    calls = []
+    original = chebyshev.eval_basis
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (chebyshev, solver):
+        monkeypatch.setattr(module, "eval_basis", counted, raising=False)
+    sol = solve_problem(_eq19(), CATALOG["eq19"].constraint_triples(), _cfg())
+    sol.solution(np.linspace(1.0, 4.0, 11))
+    m_sweep(_eq26(), CATALOG["eq26"].constraint_triples(), range(3, 10))
+    assert calls == []
+
+
+def test_constraint_rows_need_an_interval_end():
+    expr = fixed_case_expression("BVP_y_y", [0.0, 0.0])
+    assert _constraint_basis_values(expr, 4).tolist() == [
+        [1.0, -1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]]
+    moved = type(expr)(expr.betas, expr.constraints[:1] + (ConstraintSpec(0, 0.5, 0.0),))
+    with pytest.raises(ValueError, match="endpoint must be -1 or \\+1"):
+        _constraint_basis_values(moved, 4)

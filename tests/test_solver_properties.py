@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tfc_solve import solve_ls
 from tfc_solve.solver import _QR_BLOCK_ROWS, _factor
 
 
@@ -37,3 +38,28 @@ def test_blocked_factor_matches_one_qr(rows, n, seed):
         assert np.array_equal(R, ref)
     err = np.max(np.abs(_row_signs_fixed(R) - _row_signs_fixed(ref)))
     assert err <= 1e-13 * np.linalg.norm(ref)
+
+
+# Row counts straddling numpy's pairwise-summation blocks (8 and 128), and
+# residuals spread over up to 24 orders of magnitude.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=st.integers(1, 5000), n=st.integers(1, 12), spread=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=1, n=1, spread=0, seed=0)
+@example(rows=7, n=3, spread=0, seed=1)
+@example(rows=8, n=3, spread=0, seed=2)
+@example(rows=9, n=3, spread=0, seed=3)
+@example(rows=127, n=5, spread=0, seed=4)
+@example(rows=128, n=5, spread=0, seed=5)
+@example(rows=129, n=5, spread=0, seed=6)
+@example(rows=4097, n=9, spread=0, seed=7)
+@example(rows=1000, n=6, spread=12, seed=8)
+def test_residual_statistics_are_numpys(rows, n, spread, seed):
+    rng = np.random.default_rng(seed)
+    P = rng.normal(size=(rows, n))
+    lam = rng.normal(size=rows) * 10.0 ** rng.uniform(-spread, spread, size=rows)
+    sol = solve_ls(P, lam)
+    r = sol.residuals
+    assert sol.residual_mean == float(np.mean(r))
+    assert sol.residual_abs_mean == float(np.mean(np.abs(r)))
+    assert sol.residual_std == float(np.std(r))

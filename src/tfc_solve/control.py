@@ -126,7 +126,8 @@ def assemble_state_costate(problem, cfg):
 
     Rows per node: the two state equations then the two costate equations.
     Columns: basis elements 1..m of alpha, then of beta, then of gamma. M is
-    Fortran-ordered, the order the least-squares kernel copies it into.
+    Fortran-ordered, like the kernel's row-block buffer. No temporary of M's
+    size is made: every product goes through one (N, 2, m) scratch.
     """
     dmap = DomainMap(problem.t0, problem.tf)
     tnodes = dmap.to_t(dmap.nodes(cfg.N, cfg.nodes))
@@ -138,27 +139,30 @@ def assemble_state_costate(problem, cfg):
     A11, A12, A21, A22 = (_blocks_at(getattr(problem, name), name, tnodes)
                           for name in ("A11", "A12", "A21", "A22"))
 
-    # Node-major stacks: Hx[j] = [h - h0; hdot - hdot0] at node j, (N, 2, m).
-    Hx = np.stack([(h - h0[0]).T, (hd - h0[1]).T], axis=1)
-    Gxd = np.stack([hd.T, hdd.T], axis=1)
+    # Node-major stack Hx[j] = [h - h0; hdot - hdot0] at node j, (N, 2, m).
+    Hx = np.subtract(basis[:2, :, :-2].transpose(2, 0, 1), h0[:2, :, 0], order="C")
     dhf = (h - hf[0]).T[:, None, :]          # (N, 1, m)
     hdT = hd.T
 
     # M4[j, row, block, k]: row 0-1 state, 2-3 costate; block alpha/beta/gamma.
     # It is a view of the C-ordered buf[block, k, j, row], whose (3m, 4N)
-    # reshape is the transpose of M.
+    # reshape is the transpose of M. Products go through the contiguous
+    # scratch prod, so each batched one runs the kernel a new array gets.
     buf = np.empty((3, m, cfg.N, 4))
     M4 = buf.transpose(2, 3, 0, 1)
-    M4[:, :2, 0] = Gxd - A11 @ Hx
-    M4[:, 2:, 0] = -A21 @ Hx
+    prod = A11 @ Hx
+    np.subtract(hdT, prod[:, 0], out=M4[:, 0, 0])
+    np.subtract(hdd.T, prod[:, 1], out=M4[:, 1, 0])
+    # (-A21) @ Hx: negating the product instead would turn +0.0 into -0.0
+    M4[:, 2:, 0] = np.matmul(-A21, Hx, out=prod)
     # Beta (k = 0) feeds lambda row 0 and gamma (k = 1) row 1, so a @ [dhf; 0]
     # is a[:, 0] * dhf and a @ [0; dhf] is a[:, 1] * dhf. "0.0 -" and "+ 0.0"
     # keep its zeros +0.0, as the 2x2 matrix products of the per-node form did.
     for k in (0, 1):
-        M4[:, :2, 1 + k] = 0.0 - A12[:, :, k:k + 1] * dhf
-        a22_dhf = A22[:, :, k:k + 1] * dhf + 0.0
-        M4[:, 2:, 1 + k] = 0.0 - a22_dhf
-        M4[:, 2 + k, 1 + k] = hdT - a22_dhf[:, k]
+        np.subtract(0.0, np.multiply(A12[:, :, k:k + 1], dhf, out=prod), out=M4[:, :2, 1 + k])
+        a22_dhf = np.add(np.multiply(A22[:, :, k:k + 1], dhf, out=prod), 0.0, out=prod)
+        np.subtract(0.0, a22_dhf, out=M4[:, 2:, 1 + k])
+        np.subtract(hdT, a22_dhf[:, k], out=M4[:, 2 + k, 1 + k])
 
     x0 = np.asarray(problem.x0, dtype=float)
     lf = np.asarray(problem.lambda_f, dtype=float)

@@ -21,6 +21,9 @@ the Householder QR of each block of rows followed by one QR of their stacked
 triangles, and an SVD of the small triangle R. `m_sweep` assembles and
 factors once; each m reads a leading block of R, which any QR's triangle
 provides.
+
+No temporary of the system's size is made besides the system matrix and one
+scratch; products go into existing arrays (`out=`) and keep their bits.
 """
 
 from dataclasses import dataclass
@@ -102,30 +105,27 @@ def assemble(expr, mapped, cfg):
     coeffs = mapped.coefficients_at(x)
     grid = eval_basis_grid(cfg.m, 2, x)  # (3, m+1, N)
     g_at = _constraint_basis_values(expr, cfg.m)  # (n, m+1)
+    b = [expr.betas.eval(x, d) for d in range(3)]  # (n, N) each
 
-    b0 = expr.betas.eval(x, 0)  # (n, N)
-    b1 = expr.betas.eval(x, 1)
-    b2 = expr.betas.eval(x, 2)
-
-    # y_k = T_k - sum_i beta_i * T_k^(d_i)(x_i), likewise its derivatives.
-    yk = grid[0] - g_at.T @ b0  # (m+1, N)
-    ypk = grid[1] - g_at.T @ b1
-    yppk = grid[2] - g_at.T @ b2
-    cols = mapped.homogeneous_operator(x, yk, ypk, yppk, coeffs)  # (m+1, N)
+    # y_k = T_k - sum_i beta_i * T_k^(d_i)(x_i), likewise its derivatives,
+    # for the kept k = 2..m only, formed in the grid itself through one
+    # buffer for the product, which then takes the columns: P keeps that
+    # buffer alive, not the grid.
+    cols = np.empty_like(grid[0, 2:])  # (m-1, N)
+    for d in range(3):
+        grid[d, 2:] -= np.matmul(g_at[:, 2:].T, b[d], out=cols)
+    mapped.homogeneous_operator(x, *grid[:, 2:], coeffs, out=cols)
 
     vals = expr.values
-    yc = vals @ b0
-    ypc = vals @ b1
-    yppc = vals @ b2
-    lam = coeffs[3] - mapped.homogeneous_operator(x, yc, ypc, yppc, coeffs)
+    lam = coeffs[3] - mapped.homogeneous_operator(x, *(vals @ bd for bd in b), coeffs)
 
-    return cols[2:].T, lam  # drop k = 0, 1
+    return cols.T, lam
 
 
 def _require_finite(name, a):
-    bad = ~np.isfinite(a)
-    if bad.any():
-        raise ValueError(f"{name} is non-finite at row {int(np.argwhere(bad)[0][0])}")
+    ok = np.isfinite(a)
+    if not ok.all():
+        raise ValueError(f"{name} is non-finite at row {int(np.argwhere(~ok)[0][0])}")
 
 
 def _factor(P, lam, weights, scaling):
@@ -133,31 +133,39 @@ def _factor(P, lam, weights, scaling):
 
     Rows are weighted by sqrt(weights); with column_norm scaling each column
     of P is divided by its (weighted) 2-norm, zero columns left as they are.
-    [Ps | lw] is written into one Fortran-order array, the only copy made
-    before the factorization's own. R is the Householder triangle of each
-    block of _QR_BLOCK_ROWS rows, then of those triangles stacked (the
-    tall-skinny QR); a system of one block is factored as a whole.
+    [Ps | lw] is never formed whole: each block of _QR_BLOCK_ROWS rows is
+    weighted and scaled into one reused Fortran-order buffer and factored,
+    then the blocks' triangles stacked (the tall-skinny QR); a system of one
+    block is factored as a whole. The norms square eight columns at a time
+    into a Fortran-order scratch, so each column keeps the pairwise sum
+    np.linalg.norm gives a Fortran-order array. A weight or scale of 1.0 is
+    applied too: it changes no bit.
     """
     _require_finite("P", P)
     _require_finite("lam", lam)
     rows, n = P.shape
-    A = np.empty((rows, n + 1), order="F")
     if weights is not None:
         _require_finite("weights", weights)
-        sw = np.sqrt(weights)
-        np.multiply(P, sw[:, None], out=A[:, :n])
-        np.multiply(lam, sw, out=A[:, n])
-    else:
-        A[:, :n] = P
-        A[:, n] = lam
+    sw = np.broadcast_to(1.0, (rows, 1)) if weights is None else np.sqrt(weights)[:, None]
+    s = np.ones(n)
     if scaling == "column_norm":
-        s = np.linalg.norm(A[:, :n], axis=0)
+        sq = np.empty((rows, min(n, 8)), order="F")
+        for j in range(0, n, 8):
+            c = min(8, n - j)
+            np.multiply(P[:, j:j + c], sw, out=sq[:, :c])
+            np.square(sq[:, :c], out=sq[:, :c])
+            np.sqrt(np.add.reduce(sq[:, :c], axis=0), out=s[j:j + c])
         s[s == 0.0] = 1.0
+        del sq  # freed before the block buffer is made
+    buf = np.empty((min(max(rows, 1), _QR_BLOCK_ROWS), n + 1), order="F")
+    Rs = []
+    for i in range(0, max(rows, 1), _QR_BLOCK_ROWS):
+        A = buf[:min(rows - i, _QR_BLOCK_ROWS)]
+        block = slice(i, i + len(A))
+        np.multiply(P[block], sw[block], out=A[:, :n])
+        np.multiply(lam[block], sw[block, 0], out=A[:, n])
         A[:, :n] /= s
-    else:
-        s = np.ones(n)
-    Rs = [np.linalg.qr(A[i:i + _QR_BLOCK_ROWS], mode="r")
-          for i in range(0, max(rows, 1), _QR_BLOCK_ROWS)]
+        Rs.append(np.linalg.qr(A, mode="r"))
     return (Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")), s
 
 

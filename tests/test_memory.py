@@ -1,0 +1,69 @@
+"""Peak transient memory of the solvers, as tracemalloc sees it.
+
+numpy reports every data buffer it allocates to tracemalloc, so these peaks
+are the same from run to run. Each bound is a multiple of the nbytes of the
+system the call solves. The rule they hold the kernels to: no temporary of
+the system's size besides the system matrix itself and one scratch.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from tfc_solve import (
+    CollocationConfig,
+    StateCostateProblem,
+    m_sweep,
+    solve_ls,
+    solve_state_costate,
+)
+from tfc_solve.catalog import CATALOG
+
+
+def transient_peak(call):
+    """Peak bytes allocated, over those held before, during one call."""
+    call()  # caches and first-call allocations stay out of the measure
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_ls_makes_no_copy_of_the_system():
+    # [P | lambda] is factored a block of rows at a time; a copy of it whole
+    # would take the peak past the system's own size
+    rng = np.random.default_rng(5)
+    P = rng.standard_normal((4000, 60))
+    lam = rng.standard_normal(4000)
+    system = P.nbytes + lam.nbytes
+    assert transient_peak(lambda: solve_ls(P, lam)) < 1.0 * system
+
+
+def test_m_sweep_assembles_in_the_basis_grid():
+    # the basis grid (three (m + 1)-row tables, 3.2 systems) and the column
+    # buffer (one system) are the only arrays of their size
+    entry = CATALOG["eq28"]
+    ode, constraints = entry.ode(), entry.constraint_triples()
+    m_range = range(entry.sweep[0], entry.sweep[1] + 1)
+    system = 1000 * (m_range[-1] - 1) * 8 + 1000 * 8  # P and lambda at N = 1000
+    peak = transient_peak(lambda: m_sweep(ode, constraints, m_range, N=1000))
+    assert peak < 6.0 * system
+
+
+def test_state_costate_builds_the_block_system_in_place():
+    # M itself (one system) is made by the call; the assembly's stacks and
+    # the factor's row blocks add well under one more. The problem is the
+    # double integrator with quadratic state and control costs.
+    problem = StateCostateProblem(
+        A11=lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]),
+        A12=lambda t: np.array([[0.0, 0.0], [0.0, -1.0]]),
+        A21=lambda t: np.array([[-1.0, 0.0], [0.0, 0.0]]),
+        A22=lambda t: np.array([[0.0, 0.0], [-1.0, 0.0]]),
+        x0=[1.0, 0.0], lambda_f=[0.0, 0.0], t0=0.0, tf=2.0)
+    cfg = CollocationConfig(m=20, N=1000)
+    system = 4 * cfg.N * 3 * cfg.m * 8 + 4 * cfg.N * 8  # M and its right-hand side
+    peak = transient_peak(lambda: solve_state_costate(problem, cfg))
+    assert peak < 2.2 * system

@@ -130,3 +130,25 @@ def test_implied_initial_value_argument_checks():
         implied_initial_value(mapped, {"y": 1.0})
     with pytest.raises(ValueError):
         implied_initial_value(mapped, {"y": 1.0, "dy_x": 0.0, "ddy_x": 0.0})
+
+
+@pytest.mark.parametrize("shape", [(301,), (18, 301)])
+def test_operator_into_a_buffer_keeps_every_bit(shape):
+    # the in-place form used on the basis grid against the allocating call
+    mapped = map_ode(_eq19())
+    x = np.linspace(-1.0, 1.0, 301)
+    coeffs = mapped.coefficients_at(x)
+    rng = np.random.default_rng(7)
+    y, yp, ypp = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+                  for _ in range(3))
+    y[..., 0] = yp[..., 0] = ypp[..., 0] = 0.0  # a zero keeps its sign too
+    ref = mapped.homogeneous_operator(x, y, yp, ypp, coeffs)
+    f2, f1, f0, _ = coeffs
+    dt = mapped.map.delta_t
+    assert ref.tobytes() == ((4.0 / dt**2) * f2 * ypp + (2.0 / dt) * f1 * yp + f0 * y).tobytes()
+    for into_ypp in (False, True):
+        args = [a.copy() for a in (y, yp, ypp)]
+        buf = args[2] if into_ypp else np.full(shape, np.nan)
+        out = mapped.homogeneous_operator(x, *args, coeffs, out=buf)
+        assert out is buf
+        assert out.tobytes() == ref.tobytes()

@@ -15,12 +15,14 @@ from tfc_solve import (
     solve_problem,
 )
 from tfc_solve.catalog import CATALOG
-from tfc_solve.embedding import ConstraintSpec
+from tfc_solve.chebyshev import eval_basis_grid
+from tfc_solve.embedding import FIXED_CASES, ConstraintSpec
 from tfc_solve.solver import (
     RANK_DEFICIENT_TOL,
     LSSolution,
     _constraint_basis_values,
     _expression,
+    _factor,
     _make_solution,
 )
 
@@ -582,3 +584,89 @@ def test_constraint_rows_need_an_interval_end():
     moved = type(expr)(expr.betas, expr.constraints[:1] + (ConstraintSpec(0, 0.5, 0.0),))
     with pytest.raises(ValueError, match="endpoint must be -1 or \\+1"):
         _constraint_basis_values(moved, 4)
+
+
+# --- in-place kernels against the formulations they replaced ---------------
+# Each reference is the allocating form the kernel had before it worked in
+# place; the outputs must agree in every bit, the sign of zeros included.
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _reference_factor(P, lam, weights, scaling):
+    """[Ps | lw] written whole into one Fortran-order array, then blocked QR."""
+    rows, n = P.shape
+    A = np.empty((rows, n + 1), order="F")
+    if weights is not None:
+        sw = np.sqrt(weights)
+        np.multiply(P, sw[:, None], out=A[:, :n])
+        np.multiply(lam, sw, out=A[:, n])
+    else:
+        A[:, :n] = P
+        A[:, n] = lam
+    if scaling == "column_norm":
+        s = np.linalg.norm(A[:, :n], axis=0)
+        s[s == 0.0] = 1.0
+        A[:, :n] /= s
+    else:
+        s = np.ones(n)
+    Rs = [np.linalg.qr(A[i:i + 1024], mode="r") for i in range(0, max(rows, 1), 1024)]
+    return (Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")), s
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("scaling", ["column_norm", "none"])
+@pytest.mark.parametrize("rows", [1, 5, 1023, 1024, 1025, 4000])
+def test_factor_bit_identical_to_whole_array_form(rows, scaling, weighted, order):
+    rng = np.random.default_rng([rows, weighted, order == "F"])
+    # columns over twelve decades, one of them zero
+    P = rng.standard_normal((rows, 19)) * np.logspace(-6, 6, 19)
+    P[:, 7] = 0.0
+    P = np.asarray(P, order=order)
+    lam = rng.standard_normal(rows)
+    weights = rng.uniform(0.1, 10.0, rows) if weighted else None
+    R, s = _factor(P, lam, weights, scaling)
+    R_ref, s_ref = _reference_factor(P, lam, weights, scaling)
+    assert _bits(s) == _bits(s_ref)
+    assert _bits(R) == _bits(R_ref)
+
+
+def _reference_assemble(expr, mapped, cfg):
+    """Every y_k, y_k', y_k'' and operator product as an array of its own."""
+    x = mapped.map.nodes(cfg.N, cfg.nodes)
+    coeffs = mapped.coefficients_at(x)
+    grid = eval_basis_grid(cfg.m, 2, x)
+    g_at = _constraint_basis_values(expr, cfg.m)
+    b0, b1, b2 = (expr.betas.eval(x, d) for d in range(3))
+    f2, f1, f0, f = coeffs
+    dt = mapped.map.delta_t
+
+    def op(y, yp, ypp):
+        return (4.0 / dt**2) * f2 * ypp + (2.0 / dt) * f1 * yp + f0 * y
+
+    cols = op(grid[0] - g_at.T @ b0, grid[1] - g_at.T @ b1, grid[2] - g_at.T @ b2)
+    vals = expr.values
+    lam = f - op(vals @ b0, vals @ b1, vals @ b2)
+    return cols[2:].T, lam
+
+
+@pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
+@pytest.mark.parametrize("case_id", sorted(FIXED_CASES))
+def test_assemble_bit_identical_to_allocating_form(case_id, nodes):
+    mapped = map_ode(_eq19())
+    expr = fixed_case_expression(case_id, (0.75, -1.25))
+    for m in (2, 17, 30):
+        for N in (20, 1000, 4000):
+            if N < m + 1:
+                continue
+            cfg = _cfg(m=m, N=N, nodes=nodes)
+            P, lam = assemble(expr, mapped, cfg)
+            P_ref, lam_ref = _reference_assemble(expr, mapped, cfg)
+            # the residual P @ xi rounds by P's memory order, so it is kept
+            assert P.flags.f_contiguous == P_ref.flags.f_contiguous
+            assert _bits(P) == _bits(P_ref), (m, N)
+            assert _bits(lam) == _bits(lam_ref), (m, N)

@@ -99,12 +99,13 @@ def endpoint_rows(m_max, orders, endpoints):
     The values are integers, exact while k^2 (k^2 - 1) / 3 < 2^53, and carry
     the recurrence's bits, its +0.0 included.
     """
-    d = np.asarray(orders, dtype=int)
+    o = np.asarray(orders, dtype=float)
     e = np.asarray(endpoints, dtype=float)
     if np.any((e != 1.0) & (e != -1.0)):
         raise ValueError("endpoint must be -1 or +1")
-    if np.any((d < 0) | (d > 2)):
+    if not np.all((o == 0.0) | (o == 1.0) | (o == 2.0)):
         raise ValueError("derivative order must be 0, 1 or 2")
+    d = o.astype(int)
     k = np.arange(m_max + 1.0)
     k2 = k * k
     at_one = np.stack([np.ones_like(k), k2, k2 * (k2 - 1.0) / 3.0])[d]

@@ -58,9 +58,9 @@ def _basis_in_t(dmap, m, t, d_max=2):
     x = _clip_to_interval(dmap.to_x(np.atleast_1d(np.asarray(t, dtype=float))))
     grid = eval_basis_grid(m, d_max, x)
     if d_max >= 1:
-        grid[1] = dmap.dydx_to_dydt(grid[1])
+        dmap.dydx_to_dydt(grid[1], out=grid[1])
     if d_max >= 2:
-        grid[2] = dmap.d2ydx2_to_d2ydt2(grid[2])
+        dmap.d2ydx2_to_d2ydt2(grid[2], out=grid[2])
     return grid
 
 

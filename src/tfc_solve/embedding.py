@@ -7,9 +7,10 @@ polynomials satisfy the Kronecker property
 
     d^{d_k} beta_i / dx^{d_k} (x_k) = delta_ik.
 
-Every constraint then holds identically in g. The twelve two-constraint
-cases used by the solver are hard-coded with their published beta
-polynomials; a generic builder covers arbitrary small constraint sets.
+Every constraint then holds identically in g. The twelve published
+two-constraint cases are hard-coded with their beta polynomials, as
+reference data; the solver itself eliminates the constraint rows (see
+`solver`). A generic builder covers arbitrary small constraint sets.
 """
 
 import math

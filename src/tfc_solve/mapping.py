@@ -38,11 +38,13 @@ class DomainMap:
             return float(value_t) * self.delta_t**2 / 4.0
         raise ValueError(f"derivative order {order} not supported (solver core is second order)")
 
-    def dydx_to_dydt(self, dydx):
-        return np.asarray(dydx) * 2.0 / self.delta_t
+    def dydx_to_dydt(self, dydx, out=None):
+        """dy/dt from dy/dx, written to out when given (dydx allowed)."""
+        return np.divide(np.multiply(dydx, 2.0, out=out), self.delta_t, out=out)
 
-    def d2ydx2_to_d2ydt2(self, d2ydx2):
-        return np.asarray(d2ydx2) * 4.0 / self.delta_t**2
+    def d2ydx2_to_d2ydt2(self, d2ydx2, out=None):
+        """d2y/dt2 from d2y/dx2, written to out when given (d2ydx2 allowed)."""
+        return np.divide(np.multiply(d2ydx2, 4.0, out=out), self.delta_t**2, out=out)
 
     def nodes(self, n, kind="uniform"):
         """Collocation nodes on [-1, 1], endpoints included."""

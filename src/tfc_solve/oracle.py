@@ -52,40 +52,21 @@ def integrate_ivp(ode, y1, dy1, steps):
     return rk4_integrate(ode_as_first_order(ode), ode.t1, [y1, dy1], h, steps)
 
 
-def shoot_bvp(ode, y1, y2, bracket, steps=3000, tol=1e-10, max_iter=200):
-    """Find ydot(t1) by bisection so the RK4 endpoint hits y(t2) = y2.
+def shoot_bvp(ode, y1, y2, bracket, steps=3000):
+    """Find ydot(t1) so the RK4 endpoint hits y(t2) = y2, by linear shooting.
 
-    Returns (slope, ts, ys). Raises NoSignChange when the bracket does not
-    straddle the target (a hint the BVP may have no solution).
+    The ODE is linear, so the RK4 endpoint is affine in the slope: its gaps
+    at the two ends of the bracket give the root, and one more propagation
+    gives the trajectory. Returns (slope, ts, ys). Raises NoSignChange when
+    the bracket does not straddle the target (a hint the BVP may have no
+    solution), or the slope does not move the endpoint.
     """
-
-    def endpoint_gap(s):
-        _, ys = integrate_ivp(ode, y1, s, steps)
-        return ys[-1, 0] - y2
-
     lo, hi = float(bracket[0]), float(bracket[1])
-    glo, ghi = endpoint_gap(lo), endpoint_gap(hi)
-    if glo == 0.0:
-        hi = lo
-    elif ghi == 0.0:
-        lo = hi
-    elif glo * ghi > 0.0:
+    glo, ghi = (integrate_ivp(ode, y1, s, steps)[1][-1, 0] - y2 for s in (lo, hi))
+    if glo * ghi > 0.0 or glo == ghi:
         raise NoSignChange(
             f"gap({lo}) = {glo:.3e} and gap({hi}) = {ghi:.3e} have equal sign")
-    else:
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            gm = endpoint_gap(mid)
-            if abs(gm) <= tol or hi - lo <= 1e-15 * max(1.0, abs(mid)):
-                lo = hi = mid
-                break
-            if glo * gm <= 0.0:
-                hi, ghi = mid, gm
-            else:
-                lo, glo = mid, gm
-        else:
-            lo = hi = 0.5 * (lo + hi)
-    slope = 0.5 * (lo + hi)
+    slope = lo - glo * (hi - lo) / (ghi - glo)
     ts, ys = integrate_ivp(ode, y1, slope, steps)
     return slope, ts, ys
 

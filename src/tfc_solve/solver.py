@@ -1,19 +1,13 @@
 """Collocation least-squares core.
 
-The free function g is expanded in Chebyshev polynomials T_k. Column k of
-the collocation matrix applies the mapped homogeneous ODE operator to the
-constrained expression evaluated with g = T_k and zero constraint values;
-the right-hand side is f minus the operator applied to the pure-constraint
-part. Indices k = 0, 1 are dropped: the constraint embedding already
-reproduces (or absorbs) the constant and linear directions, so the
-remaining columns span a complement of the embedding's null space.
-
-Constraints reach the solver as t-domain (order, at, value) triples, which
-are mapped to one of the twelve published cases of `embedding.FIXED_CASES`.
-Every constraint sits at x = -1 or +1, so its row of T_k^(d) values comes
-from the closed forms of `chebyshev.endpoint_rows`; the basis recurrence
-runs once per point set (the nodes, or the points a solution is asked at)
-and never at a single point.
+y is a Chebyshev series sum_k c_k T_k, k = 0..m. Its two constraints, of
+order 0, 1 or 2 at t1 or t2, are the rows C of T_k^(d)(-1 or +1) values
+(`chebyshev.endpoint_rows`), and C c must equal their values. Eliminating C
+(the null-space method; Bjorck 1996, section 5.1) leaves the kept columns K
+free: any c_K = xi with c_S = a - W xi meets the constraints. Column j of the
+collocation matrix is the mapped homogeneous ODE operator L applied to
+T_{K_j} - T_S^T W_j; the right-hand side is f - L T_S^T a. The basis
+recurrence runs once per point set, never at a single point.
 
 `solve_ls(P, lam, weights, scaling)` is the least-squares kernel shared with
 the state/costate block solver: a QR of the scaled [P | lambda], taken as
@@ -33,7 +27,7 @@ import numpy as np
 
 from . import diagnostics
 from .chebyshev import _clip_to_interval, endpoint_rows, eval_basis_grid
-from .embedding import FIXED_CASES, fixed_case_expression
+from .embedding import PIVOT_TOL, ConstraintSpec, fixed_case_expression
 from .errors import TfcSolveError
 from .problem import map_ode
 
@@ -41,8 +35,6 @@ RANK_DEFICIENT_TOL = 1e-13
 # rows per Householder QR block in _factor; a block of 1024 x 64 doubles is
 # 512 KiB, and stays in cache while it is factored
 _QR_BLOCK_ROWS = 1024
-# published case ids by their x-domain (order, location) pairs
-_CASE_IDS = {specs: case_id for case_id, (specs, _) in FIXED_CASES.items()}
 
 
 @dataclass(frozen=True)
@@ -69,6 +61,8 @@ class CollocationConfig:
 
 @dataclass
 class LSSolution:
+    """From `solve_problem`, xi holds the coefficients of the kept columns T_K."""
+
     xi: np.ndarray
     residuals: np.ndarray
     residual_mean: float
@@ -89,37 +83,48 @@ class LSSolution:
         )
 
 
-def _constraint_basis_values(expr, m):
-    """g_at_constraints for g = T_k, all k: array of shape (n, m + 1).
+def _eliminate(constraints, m):
+    """Gauss-Jordan elimination of [C | c], C the constraint rows over T_0..T_m
+    and c their values: pivot columns S lowest degree first, each only if it
+    raises the rank, the rest K, W = C_S^-1 C_K and a = C_S^-1 c. Raises
+    ValueError when C has rank below the constraint count."""
+    n = len(constraints)
+    A = np.empty((n, m + 2))
+    A[:, :-1] = endpoint_rows(m, [c.order for c in constraints],
+                              [c.location for c in constraints])
+    A[:, -1] = [c.value for c in constraints]
+    tol = PIVOT_TOL * np.abs(A).max(axis=0)
+    S = []
+    for k in range(m + 1):
+        r = len(S)
+        p = max(range(r, n), key=lambda i: abs(A[i, k]))
+        if abs(A[p, k]) > tol[k]:
+            A[[r, p]] = A[[p, r]]
+            A[r] /= A[r, k]
+            for i in set(range(n)) - {r}:
+                A[i] -= A[i, k] * A[r]
+            S.append(k)
+            if len(S) == n:
+                K = [j for j in range(m + 1) if j not in S]
+                return S, np.array(K), A[:, K], A[:, -1]
+    raise ValueError(f"the {n} constraint rows have rank {len(S)} on T_0..T_{m}")
 
-    Row i is T_k^(d_i)(x_i) from the closed forms at x_i = -1 or +1; any
-    other location raises ValueError.
-    """
-    cs = expr.constraints
-    return endpoint_rows(m, [c.order for c in cs], [c.location for c in cs])
 
-
-def assemble(expr, mapped, cfg):
-    """Build the N x (m - 1) system P xi = lambda for columns k = 2..m."""
+def assemble(constraints, mapped, cfg, *, _elim=None):
+    """The N x (m - 1) system P xi = lambda over the kept columns K: with L
+    the mapped homogeneous operator, P = L T_K - (L T_S)^T W and lambda =
+    f - (L T_S)^T a. constraints are x-domain ConstraintSpecs, and _elim is
+    their `_eliminate` at cfg.m when the caller has it."""
+    S, K, W, a = _elim or _eliminate(constraints, cfg.m)
     x = mapped.map.nodes(cfg.N, cfg.nodes)
     coeffs = mapped.coefficients_at(x)
     grid = eval_basis_grid(cfg.m, 2, x)  # (3, m+1, N)
-    g_at = _constraint_basis_values(expr, cfg.m)  # (n, m+1)
-    b = [expr.betas.eval(x, d) for d in range(3)]  # (n, N) each
-
-    # y_k = T_k - sum_i beta_i * T_k^(d_i)(x_i), likewise its derivatives,
-    # for the kept k = 2..m only, formed in the grid itself through one
-    # buffer for the product, which then takes the columns: P keeps that
-    # buffer alive, not the grid.
-    cols = np.empty_like(grid[0, 2:])  # (m-1, N)
-    for d in range(3):
-        grid[d, 2:] -= np.matmul(g_at[:, 2:].T, b[d], out=cols)
-    mapped.homogeneous_operator(x, *grid[:, 2:], coeffs, out=cols)
-
-    vals = expr.values
-    lam = coeffs[3] - mapped.homogeneous_operator(x, *(vals @ bd for bd in b), coeffs)
-
-    return cols.T, lam
+    # L T_k for every k into grid[2]; the product goes through a spent slice
+    LT = mapped.homogeneous_operator(x, *grid, coeffs, out=grid[2])
+    LS = LT[S]
+    cols = np.take(LT, K, axis=0)
+    cols -= np.matmul(W.T, LS, out=grid[0, :len(K)])
+    return cols.T, coeffs[3] - a @ LS
 
 
 def _require_finite(name, a):
@@ -222,62 +227,53 @@ def solve_ls(P, lam, weights=None, scaling="column_norm"):
 
 
 def _expression(mapped, constraints):
-    """The published constrained expression for either encoding solve_problem takes.
-
-    t-domain (order, at, value) triples, `at` equal to t1 or t2 within 1e-12
-    of the interval width, become x-domain (order, -1 or 1) pairs sorted by
-    location then order, the order each case lists its constraints in.
-    """
+    """x-domain ConstraintSpecs, sorted by location then order, from either
+    encoding solve_problem takes. Each `at` must be t1 or t2 within 1e-12 of
+    the interval width; derivative values are scaled to x."""
     if constraints and isinstance(constraints[0], str):
-        return fixed_case_expression(*constraints)
+        return fixed_case_expression(*constraints).constraints
     dmap = mapped.map
     tol = 1e-12 * max(dmap.delta_t, 1.0)
     tagged = []
     for order, at, value in constraints:
-        if abs(at - dmap.t1) <= tol:
-            tagged.append((-1.0, order, float(value)))
-        elif abs(at - dmap.t2) <= tol:
-            tagged.append((1.0, order, float(value)))
-        else:
+        if min(abs(at - dmap.t1), abs(at - dmap.t2)) > tol:
             raise ValueError(f"constraint location {at!r} is neither t1 nor t2")
+        tagged.append((-1.0 if abs(at - dmap.t1) <= tol else 1.0, order, float(value)))
     tagged.sort()
     pairs = tuple((order, loc) for loc, order, _ in tagged)
-    if pairs not in _CASE_IDS:
-        raise ValueError(f"no published case has the (order, location) pairs {pairs}")
-    return fixed_case_expression(
-        _CASE_IDS[pairs], [dmap.scale_derivative_constraint(o, v) for _, o, v in tagged])
+    if len(pairs) != 2 or any(order not in (0, 1, 2) for order, _ in pairs):
+        raise ValueError(f"need two constraints of order 0, 1 or 2, not the pairs {pairs}")
+    return tuple(ConstraintSpec(order, loc, dmap.scale_derivative_constraint(order, v))
+                 for loc, order, v in tagged)
 
 
 def solve_problem(ode, constraints, cfg=None):
-    """Full pipeline: map, embed, assemble, solve, package a t-callable.
-
-    constraints: list of two (order, at, value) triples in the t-domain,
-    or a (case_id, values_x) pair with values already x-scaled.
-    """
+    """Full pipeline: map, eliminate, assemble, solve, package a t-callable.
+    constraints: two (order, at, value) triples in the t-domain, or a
+    (case_id, values_x) pair with values already x-scaled."""
     cfg = cfg or CollocationConfig()
     mapped = map_ode(ode)
-    expr = _expression(mapped, constraints)
-    P, lam = assemble(expr, mapped, cfg)
+    constraints = _expression(mapped, constraints)
+    elim = _eliminate(constraints, cfg.m)
+    P, lam = assemble(constraints, mapped, cfg, _elim=elim)
     sol = solve_ls(P, lam, cfg.weights, cfg.scaling)
-    sol.solution = _make_solution(expr, mapped, cfg.m, sol.xi)
+    sol.solution = _make_solution(elim, mapped, cfg.m, sol.xi)
     return sol
 
 
-def _make_solution(expr, mapped, m, xi):
-    xi_full = np.zeros(m + 1)
-    xi_full[2:] = xi
-    g_at = _constraint_basis_values(expr, m) @ xi_full
+def _make_solution(elim, mapped, m, xi):
+    """The Chebyshev series with c_K = xi and c_S = a - W xi, as a t-callable."""
+    S, K, W, a = elim
+    c = np.empty(m + 1)
+    c[K] = xi
+    c[S] = a - W @ xi
 
     def solution(t):
         """(y, ydot, yddot) in the t-domain at times t within [t1, t2]."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = _clip_to_interval(mapped.map.to_x(t))
-        grid = eval_basis_grid(m, 2, x)
-        g = xi_full @ grid[0]
-        dg = xi_full @ grid[1]
-        ddg = xi_full @ grid[2]
-        y, yp, ypp = expr.eval(x, g, dg, ddg, g_at)
-        return y, mapped.map.dydx_to_dydt(yp), mapped.map.d2ydx2_to_d2ydt2(ypp)
+        y, yp, ypp = (c @ g for g in eval_basis_grid(m, 2, x))
+        return y, mapped.map.dydx_to_dydt(yp, out=yp), mapped.map.d2ydx2_to_d2ydt2(ypp, out=ypp)
 
     return solution
 
@@ -290,9 +286,10 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
             scaling="column_norm", **thresholds):
     """Solve for each m and classify the sweep.
 
-    Column k of P and its scale depend on T_k alone and lambda on no basis
-    element, so the system is assembled and factored once at the largest
-    valid m; each m reads the leading (m - 1) x (m - 1) block of R.
+    The pivots S are the same for every m >= max S, so the kept columns of a
+    smaller m lead those of a larger one: the system is assembled and factored
+    once at the largest valid m, and each m reads the leading (m - 1) x (m - 1)
+    block of R. An m below max S gets an error row.
     """
     ms = [int(m) for m in m_range]
     cfgs, errors = {}, {}
@@ -304,8 +301,9 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
     if cfgs:
         try:
             mapped = map_ode(ode)
-            P, lam = assemble(_expression(mapped, constraints), mapped,
-                              cfgs[max(cfgs)])
+            constraints = _expression(mapped, constraints)
+            elim = _eliminate(constraints, max(cfgs))
+            P, lam = assemble(constraints, mapped, cfgs[max(cfgs)], _elim=elim)
             R, s = _factor(P, lam, None, scaling)
         except _ROW_ERRORS as exc:
             errors.update(dict.fromkeys(cfgs, str(exc)))
@@ -314,6 +312,8 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
     for m in ms:
         if m not in errors:
             try:
+                if m < elim[0][-1]:
+                    _eliminate(constraints, m)  # raises: T_0..T_m hold too few pivots
                 rows.append(_solve_from_r(R, P[:, :m - 1], lam, s).sweep_row(m))
             except _ROW_ERRORS as exc:
                 errors[m] = str(exc)

@@ -163,7 +163,7 @@ def test_endpoint_rows_mixed_ends_and_orders():
 
 @pytest.mark.parametrize("orders, endpoints", [
     ([0], [0.5]), ([1, 0], [1.0, -0.999]), ([0], [1.0 + 1e-15]), ([3], [1.0]),
-    ([-1], [-1.0])])
+    ([-1], [-1.0]), ([1.5], [1.0]), ([0, 1.5], [-1.0, 1.0])])
 def test_endpoint_rows_refuse_other_points_and_orders(orders, endpoints):
     with pytest.raises(ValueError):
         endpoint_rows(10, orders, endpoints)

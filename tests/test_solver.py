@@ -15,12 +15,12 @@ from tfc_solve import (
     solve_problem,
 )
 from tfc_solve.catalog import CATALOG
-from tfc_solve.chebyshev import eval_basis_grid
+from tfc_solve.chebyshev import _clip_to_interval, endpoint_rows, eval_basis_grid
 from tfc_solve.embedding import FIXED_CASES, ConstraintSpec
 from tfc_solve.solver import (
     RANK_DEFICIENT_TOL,
     LSSolution,
-    _constraint_basis_values,
+    _eliminate,
     _expression,
     _factor,
     _make_solution,
@@ -51,7 +51,7 @@ def test_first_node_quadratic_column():
     # [1, 4] catalog problem.
     mapped = map_ode(_eq19())
     expr = fixed_case_expression("IVP_y_dy", (0.0, 0.0))
-    P, _ = assemble(expr, mapped, _cfg())
+    P, _ = assemble(expr.constraints, mapped, _cfg())
     assert P[0, 0] == pytest.approx(16.0 / 9.0, abs=1e-12)
 
 
@@ -64,7 +64,7 @@ def test_assemble_matches_independent_construction():
     cfg = _cfg(m=m, N=N)
     v1, v2 = 1.0, 0.75  # x-scaled constraint values
     expr = fixed_case_expression("IVP_y_dy", (v1, v2))
-    P, lam = assemble(expr, mapped, cfg)
+    P, lam = assemble(expr.constraints, mapped, cfg)
 
     x = mapped.map.nodes(N)
     t = mapped.map.to_t(x)
@@ -95,7 +95,7 @@ def test_assemble_matches_independent_construction():
 def test_lambda_zero_for_homogeneous_zero_constraints():
     mapped = map_ode(_eq19())
     expr = fixed_case_expression("IVP_y_dy", (0.0, 0.0))
-    _, lam = assemble(expr, mapped, _cfg(m=8, N=50))
+    _, lam = assemble(expr.constraints, mapped, _cfg(m=8, N=50))
     assert np.max(np.abs(lam)) == 0.0
 
 
@@ -119,7 +119,7 @@ def test_dropped_columns_vanish_when_embedding_reproduces_affine(case_id):
     # k = 0, 1 columns are numerically zero.
     mapped = map_ode(_eq26())
     expr = fixed_case_expression(case_id, (0.3, -0.9))
-    P, _ = assemble(expr, mapped, _cfg(m=10, N=60))
+    P, _ = assemble(expr.constraints, mapped, _cfg(m=10, N=60))
     dropped = _dropped_columns(case_id, mapped, 60)
     scale = np.max(np.abs(P))
     assert np.max(np.abs(dropped)) <= 1e-12 * scale
@@ -130,7 +130,7 @@ def test_dropped_columns_nonzero_for_second_derivative_case():
     # but those directions still lie in the span of the kept columns.
     mapped = map_ode(_eq26())
     expr = fixed_case_expression("BVP_ddy_ddy", (0.0, 0.0))
-    P, _ = assemble(expr, mapped, _cfg(m=10, N=60))
+    P, _ = assemble(expr.constraints, mapped, _cfg(m=10, N=60))
     dropped = _dropped_columns("BVP_ddy_ddy", mapped, 60)
     assert np.max(np.abs(dropped)) > 1e-6
     resid = dropped - P @ np.linalg.lstsq(P, dropped, rcond=None)[0]
@@ -347,8 +347,8 @@ def test_constraints_hold_for_any_coefficients():
     rng = np.random.default_rng(4)
     mapped = map_ode(entry.ode())
     xi = sol.xi + rng.normal(scale=10.0, size=sol.xi.shape)
-    expr = _expression(mapped, entry.constraint_triples())
-    perturbed = _make_solution(expr, mapped, cfg.m, xi)
+    elim = _eliminate(_expression(mapped, entry.constraint_triples()), cfg.m)
+    perturbed = _make_solution(elim, mapped, cfg.m, xi)
     y, _, _ = perturbed(np.array([0.0, 1.0]))
     assert y[0] == pytest.approx(1.0, abs=1e-10)
     assert y[1] == pytest.approx(3.0, abs=1e-10)
@@ -358,7 +358,7 @@ def test_residual_orthogonal_to_columns():
     mapped = map_ode(_eq19())
     expr = fixed_case_expression("IVP_y_dy", (1.0, 0.75))
     cfg = _cfg(m=10, N=200)
-    P, lam = assemble(expr, mapped, cfg)
+    P, lam = assemble(expr.constraints, mapped, cfg)
     sol = solve_ls(P, lam)
     g = P.T @ sol.residuals
     assert np.max(np.abs(g)) <= 1e-9 * max(np.linalg.norm(P), 1.0)
@@ -391,11 +391,7 @@ def test_case_resolution_examples():
     for triples, case_id, values in (
             ([(1, 1.0, 0.0), (0, 1.0, 1.0)], "IVP_y_dy", (1.0, 0.0)),
             ([(2, 4.0, 0.5), (0, 1.0, 1.0)], "BVP_y_ddy", (1.0, 1.125))):
-        expr = _expression(mapped, triples)
-        ref = fixed_case_expression(case_id, values)
-        assert expr.constraints == ref.constraints
-        assert expr.betas.monomial_support == ref.betas.monomial_support
-        assert np.array_equal(expr.betas.coefficients, ref.betas.coefficients)
+        assert _expression(mapped, triples) == fixed_case_expression(case_id, values).constraints
 
 
 def test_case_resolution_errors():
@@ -404,11 +400,28 @@ def test_case_resolution_errors():
         _expression(mapped, [(0, 1.0, 0.0)])
     with pytest.raises(ValueError, match="neither t1 nor t2"):
         _expression(mapped, [(0, 2.0, 0.0), (0, 4.0, 1.0)])
-    with pytest.raises(ValueError, match=r"pairs \(\(0, 1.0\), \(1, 1.0\)\)"):
-        _expression(mapped, [(0, 4.0, 0.0), (1, 4.0, 1.0)])
     for order in (-1, 3, 1.5):
         with pytest.raises(ValueError, match=rf"pairs \(\(0, -1.0\), \({order}, 1.0\)\)"):
             _expression(mapped, [(0, 1.0, 0.0), (order, 4.0, 1.0)])
+    # singular constraint rows: a duplicated pair, and y'' at both ends over
+    # T_0..T_2, where T_2'' is the only nonzero column
+    with pytest.raises(ValueError, match="constraint rows have rank 1 on T_0..T_17"):
+        solve_problem(_eq19(), [(0, 1.0, 0.0), (0, 1.0, 1.0)], _cfg())
+    with pytest.raises(ValueError, match="constraint rows have rank 1 on T_0..T_2"):
+        solve_problem(_eq19(), [(2, 1.0, 0.0), (2, 4.0, 1.0)], _cfg(m=2, N=20))
+
+
+@pytest.mark.parametrize("orders", [(0, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("pid", ["eq19", "eq26"])
+def test_terminal_pairs_solve(pid, orders):
+    # both constraints at t2, which no published case has
+    entry = CATALOG[pid]
+    t2 = entry.interval[1]
+    end = entry.analytic(np.array([t2]))
+    sol = solve_problem(entry.ode(), [(d, t2, float(end[d][0])) for d in orders], _cfg())
+    t = np.linspace(*entry.interval, 1001)
+    y = entry.analytic(t)[0]
+    assert np.max(np.abs(sol.solution(t)[0] - y)) <= 1e-10 * np.max(np.abs(y))
 
 
 def test_config_validation():
@@ -448,13 +461,27 @@ SWEEP_FIELDS = ("residual_mean", "residual_abs_mean", "residual_std")
 # bit for bit. Largest |difference| / max(1, max|lambda|) per field over the
 # 5 catalog problems x uniform/Lobatto nodes (N = 1000), rounded up at the
 # second digit; measured 2.23e-12, 1.95e-13, 1.004e-12 with column scaling
-# and 1.37e-10, 7.59e-12, 6.306e-11 without.
+# and 1.37e-10, 7.59e-12, 6.306e-11 without. These hold for rows with
+# cond_PtP < SWEEP_COND; they are one build's maxima.
 SWEEP_ABS_TOL = {
     "column_norm": {"residual_mean": 2.3e-12, "residual_abs_mean": 2.0e-13,
                     "residual_std": 1.1e-12},
     "none": {"residual_mean": 1.4e-10, "residual_abs_mean": 7.6e-12,
              "residual_std": 6.4e-11},
 }
+# From SWEEP_COND up, a last-bit change in P moves a residual by up to about
+# kappa(P) eps ||lambda||, kappa(P) = sqrt(cond_PtP) (the first-order
+# perturbation of a least-squares residual; Bjorck 1996, section 1.4). Those
+# rows are bounded by SWEEP_KAPPA_C sqrt(cond_PtP) eps max(1, max|lambda|);
+# measured: at most 0.015 of that bound (0.039 on the published-beta route).
+SWEEP_COND = 1e12
+SWEEP_KAPPA_C = 1.0
+
+
+def _sweep_tol(name, ref, scaling, unit):
+    if ref.cond_PtP < SWEEP_COND:
+        return SWEEP_ABS_TOL[scaling][name] * unit
+    return SWEEP_KAPPA_C * np.sqrt(ref.cond_PtP) * EPS * unit
 
 
 def _assert_sweep_rows_match(got_report, ref_report, lam, scaling):
@@ -466,7 +493,8 @@ def _assert_sweep_rows_match(got_report, ref_report, lam, scaling):
         assert got.error is None
         assert got.rank_deficient == ref.rank_deficient
         for name in SWEEP_FIELDS:
-            assert abs(getattr(got, name) - getattr(ref, name)) <= tol[name], (got.m, name)
+            diff = abs(getattr(got, name) - getattr(ref, name))
+            assert diff <= _sweep_tol(name, ref, scaling, unit), (got.m, name)
         if ref.residual_std > 1e-8:
             assert got.residual_std == pytest.approx(ref.residual_std, rel=1e-8), got.m
         if ref.cond_PtP < 1e12:
@@ -529,6 +557,18 @@ def test_m_sweep_invalid_configs_get_their_own_rows():
                 assert r.residual_std == pytest.approx(ref.residual_std, rel=1e-8)
 
 
+def test_m_sweep_row_below_the_pivots_is_an_error():
+    # y'' at both ends has pivots T_2 and T_3: m = 2 cannot meet the
+    # constraints, and the larger m read the same factorization
+    ode, constraints = _eq26(), [(2, 0.0, 0.0), (2, 1.0, 1.0)]
+    report = m_sweep(ode, constraints, range(2, 6), N=50)
+    assert [r.error for r in report.per_m] == [
+        "the 2 constraint rows have rank 1 on T_0..T_2", None, None, None]
+    for r in report.per_m[1:]:
+        ref = solve_problem(ode, constraints, _cfg(m=r.m, N=50))
+        assert r.residual_std == pytest.approx(ref.residual_std, rel=1e-8, abs=1e-13)
+
+
 def test_m_sweep_non_finite_system_gives_error_rows():
     # f2 = 1e307 overflows the k >= 3 columns of P to inf
     ode = LinearODE2(f2=lambda t: 1e307 + 0 * t, f1=lambda t: 0 * t,
@@ -578,12 +618,13 @@ def test_no_single_point_basis_evaluation(monkeypatch):
 
 
 def test_constraint_rows_need_an_interval_end():
+    # rows (-1)^k and 1: pivots T_0 and T_1, kept T_2 - T_0, T_3 - T_1, T_4 - T_0
     expr = fixed_case_expression("BVP_y_y", [0.0, 0.0])
-    assert _constraint_basis_values(expr, 4).tolist() == [
-        [1.0, -1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]]
-    moved = type(expr)(expr.betas, expr.constraints[:1] + (ConstraintSpec(0, 0.5, 0.0),))
+    S, K, W, _ = _eliminate(expr.constraints, 4)
+    assert (S, K.tolist(), W.tolist()) == ([0, 1], [2, 3, 4], [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    moved = expr.constraints[:1] + (ConstraintSpec(0, 0.5, 0.0),)
     with pytest.raises(ValueError, match="endpoint must be -1 or \\+1"):
-        _constraint_basis_values(moved, 4)
+        _eliminate(moved, 4)
 
 
 # --- in-place kernels against the formulations they replaced ---------------
@@ -635,38 +676,91 @@ def test_factor_bit_identical_to_whole_array_form(rows, scaling, weighted, order
     assert _bits(R) == _bits(R_ref)
 
 
-def _reference_assemble(expr, mapped, cfg):
-    """Every y_k, y_k', y_k'' and operator product as an array of its own."""
+def _reference_assemble(constraints, mapped, cfg):
+    """L T_k for every k, and each product, as an array of its own."""
+    S, K, W, a = _eliminate(constraints, cfg.m)
     x = mapped.map.nodes(cfg.N, cfg.nodes)
-    coeffs = mapped.coefficients_at(x)
+    f2, f1, f0, f = mapped.coefficients_at(x)
     grid = eval_basis_grid(cfg.m, 2, x)
-    g_at = _constraint_basis_values(expr, cfg.m)
-    b0, b1, b2 = (expr.betas.eval(x, d) for d in range(3))
-    f2, f1, f0, f = coeffs
     dt = mapped.map.delta_t
-
-    def op(y, yp, ypp):
-        return (4.0 / dt**2) * f2 * ypp + (2.0 / dt) * f1 * yp + f0 * y
-
-    cols = op(grid[0] - g_at.T @ b0, grid[1] - g_at.T @ b1, grid[2] - g_at.T @ b2)
-    vals = expr.values
-    lam = f - op(vals @ b0, vals @ b1, vals @ b2)
-    return cols[2:].T, lam
+    LT = (4.0 / dt**2) * f2 * grid[2] + (2.0 / dt) * f1 * grid[1] + f0 * grid[0]
+    return (LT[K] - W.T @ LT[S]).T, f - a @ LT[S]
 
 
 @pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
 @pytest.mark.parametrize("case_id", sorted(FIXED_CASES))
 def test_assemble_bit_identical_to_allocating_form(case_id, nodes):
     mapped = map_ode(_eq19())
-    expr = fixed_case_expression(case_id, (0.75, -1.25))
+    constraints = fixed_case_expression(case_id, (0.75, -1.25)).constraints
     for m in (2, 17, 30):
         for N in (20, 1000, 4000):
             if N < m + 1:
                 continue
             cfg = _cfg(m=m, N=N, nodes=nodes)
-            P, lam = assemble(expr, mapped, cfg)
-            P_ref, lam_ref = _reference_assemble(expr, mapped, cfg)
+            if case_id == "BVP_ddy_ddy" and m == 2:
+                # its pivots are T_2 and T_3
+                with pytest.raises(ValueError, match="constraint rows have rank 1"):
+                    assemble(constraints, mapped, cfg)
+                continue
+            P, lam = assemble(constraints, mapped, cfg)
+            P_ref, lam_ref = _reference_assemble(constraints, mapped, cfg)
             # the residual P @ xi rounds by P's memory order, so it is kept
             assert P.flags.f_contiguous == P_ref.flags.f_contiguous
             assert _bits(P) == _bits(P_ref), (m, N)
             assert _bits(lam) == _bits(lam_ref), (m, N)
+
+
+# --- the published beta polynomials, as a reference -------------------------
+
+def _beta_route(ode, triples, cfg):
+    """The solution through a published case's betas: the solver's route before
+    it eliminated the constraint rows. Column k = 2..m is the operator on
+    y_k = T_k - sum_i beta_i T_k^(d_i)(x_i); y = g + sum_i beta_i (c_i - g_i)."""
+    mapped = map_ode(ode)
+    constraints = _expression(mapped, triples)
+    pairs = tuple((c.order, c.location) for c in constraints)
+    case_id = next(cid for cid, (specs, _) in FIXED_CASES.items() if specs == pairs)
+    expr = fixed_case_expression(case_id, [c.value for c in constraints])
+    x = mapped.map.nodes(cfg.N, cfg.nodes)
+    coeffs = mapped.coefficients_at(x)
+    grid = eval_basis_grid(cfg.m, 2, x)
+    rows = endpoint_rows(cfg.m, [c.order for c in constraints], [c.location for c in constraints])
+    b = [expr.betas.eval(x, d) for d in range(3)]
+    P = mapped.homogeneous_operator(
+        x, *(grid[d, 2:] - rows[:, 2:].T @ b[d] for d in range(3)), coeffs).T
+    lam = coeffs[3] - mapped.homogeneous_operator(x, *(expr.values @ bd for bd in b), coeffs)
+    c = np.zeros(cfg.m + 1)
+    c[2:] = solve_ls(P, lam, cfg.weights, cfg.scaling).xi
+
+    def solution(t):
+        x = _clip_to_interval(mapped.map.to_x(t))
+        g = eval_basis_grid(cfg.m, 2, x)
+        y, yp, ypp = expr.eval(x, c @ g[0], c @ g[1], c @ g[2], rows @ c)
+        return y, mapped.map.dydx_to_dydt(yp), mapped.map.d2ydx2_to_d2ydt2(ypp)
+
+    return solution
+
+
+# The homogeneous ODE has a nonzero solution meeting both constraints at zero.
+_NOT_UNIQUE = {("eq19", "BVP_ddy_ddy"), ("eq26", "BVP_y_dy"), ("eq26", "BVP_dy_ddy")}
+
+
+@pytest.mark.parametrize("pid", ["eq19", "eq26"])
+def test_elimination_agrees_with_the_published_betas(pid):
+    # the kept columns and T_2..T_m with the betas span the same space, so
+    # the two routes differ by rounding only
+    entry = CATALOG[pid]
+    ode, (t1, t2) = entry.ode(), entry.interval
+    t = np.linspace(t1, t2, 1001)
+    for case_id, (specs, _) in sorted(FIXED_CASES.items()):
+        if (pid, case_id) in _NOT_UNIQUE:
+            continue
+        triples = [(d, at, float(entry.analytic(np.array([at]))[d][0]))
+                   for d, at in ((d, t1 if loc < 0 else t2) for d, loc in specs)]
+        for m in (15, 17, 23):
+            for N in (1000, 4000):
+                got = solve_problem(ode, triples, _cfg(m=m, N=N)).solution(t)
+                ref = _beta_route(ode, triples, _cfg(m=m, N=N))(t)
+                for d in range(3):
+                    err = np.max(np.abs(got[d] - ref[d])) / max(1.0, np.max(np.abs(ref[d])))
+                    assert err <= 1e-9, (case_id, m, N, d, err)

@@ -1,12 +1,16 @@
-"""Property tests of the least-squares kernel, derandomized so that every
-run draws the same examples."""
+"""Property tests of the least-squares kernel and the constraint elimination,
+derandomized so that every run draws the same examples."""
+
+from itertools import combinations
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tfc_solve import solve_ls
-from tfc_solve.solver import _QR_BLOCK_ROWS, _factor
+from tfc_solve import map_ode, solve_ls
+from tfc_solve.catalog import CATALOG
+from tfc_solve.chebyshev import endpoint_rows
+from tfc_solve.solver import _QR_BLOCK_ROWS, _eliminate, _expression, _factor, _make_solution
 
 
 def _row_signs_fixed(R):
@@ -63,3 +67,32 @@ def test_residual_statistics_are_numpys(rows, n, spread, seed):
     assert sol.residual_mean == float(np.mean(r))
     assert sol.residual_abs_mean == float(np.mean(np.abs(r)))
     assert sol.residual_std == float(np.std(r))
+
+
+# The 15 pairs of distinct (order, end) constraints, end 0 at t1 and 1 at t2.
+_PAIRS = list(combinations([(d, end) for end in (0, 1) for d in range(3)], 2))
+
+
+# m up to the catalog's 23: with xi of unit size at every degree, the terms
+# of y''(+-1) grow as k^4 / 3, and their rounding with them (measured: at
+# most 0.3 of the bound at m <= 23, 2.7 times it at m = 30).
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pair=st.sampled_from(_PAIRS), pid=st.sampled_from(["eq19", "eq26"]),
+       m=st.integers(3, 23), values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_constraints_hold_for_any_xi(pair, pid, m, values, seed):
+    entry = CATALOG[pid]
+    mapped = map_ode(entry.ode())
+    triples = [(d, entry.interval[end], v) for (d, end), v in zip(pair, values)]
+    constraints = _expression(mapped, triples)
+    S, K, W, a = elim = _eliminate(constraints, m)
+    # each kept column's coefficients: 1 at its own k, -W at the pivots
+    V = np.zeros((m + 1, len(K)))
+    V[K, np.arange(len(K))] = 1.0
+    V[S] = -W
+    C = endpoint_rows(m, [c.order for c in constraints], [c.location for c in constraints])
+    assert np.all(C @ V == 0.0)
+    xi = np.random.default_rng(seed).normal(size=len(K))
+    solution = _make_solution(elim, mapped, m, xi)
+    for d, at, v in triples:
+        assert abs(solution(at)[d][0] - v) <= 1e-9 * max(1.0, abs(v)), (d, at, v)

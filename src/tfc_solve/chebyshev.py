@@ -82,6 +82,20 @@ def eval_basis_grid(m_max, d_max, x):
     return out
 
 
+def derivative_series(c):
+    """Coefficients of d/dx sum_k c_k T_k, as many as c's (the last is 0).
+
+    From the top down, b_{k-1} = b_{k+1} + 2 k c_k, then b_0 is halved
+    (Mason & Handscomb, Chebyshev Polynomials, 2003, section 2.4.5).
+    """
+    n = len(c)
+    b = np.zeros(n + 1)
+    for k in range(n - 1, 0, -1):
+        b[k - 1] = b[k + 1] + 2.0 * k * c[k]
+    b[0] /= 2.0
+    return b[:n]
+
+
 def eval_basis(m_max, d_max, x):
     """Evaluate the basis at a single point, packaged as a BasisEval."""
     grid = eval_basis_grid(m_max, d_max, float(x))
@@ -99,20 +113,28 @@ def endpoint_rows(m_max, orders, endpoints):
     The values are integers, exact while k^2 (k^2 - 1) / 3 < 2^53, and carry
     the recurrence's bits, its +0.0 included.
     """
-    o = np.asarray(orders, dtype=float)
-    e = np.asarray(endpoints, dtype=float)
-    if np.any((e != 1.0) & (e != -1.0)):
-        raise ValueError("endpoint must be -1 or +1")
-    if not np.all((o == 0.0) | (o == 1.0) | (o == 2.0)):
-        raise ValueError("derivative order must be 0, 1 or 2")
-    d = o.astype(int)
-    k = np.arange(m_max + 1.0)
-    k2 = k * k
-    at_one = np.stack([np.ones_like(k), k2, k2 * (k2 - 1.0) / 3.0])[d]
-    flip = (e[:, None] < 0.0) & ((np.arange(m_max + 1) + d[:, None]) % 2 == 1)
+    rows = np.empty((len(orders), m_max + 1))
+    k2 = np.arange(m_max + 1.0)
+    k2 *= k2
+    for row, d, e in zip(rows, orders, endpoints):
+        if e not in (-1.0, 1.0):
+            raise ValueError("endpoint must be -1 or +1")
+        if d not in (0, 1, 2):
+            raise ValueError("derivative order must be 0, 1 or 2")
+        d = int(d)
+        if d == 0:
+            row[:] = 1.0
+        elif d == 1:
+            row[:] = k2
+        else:
+            np.multiply(k2, k2 - 1.0, out=row)
+            row /= 3.0
+        if e < 0.0:
+            row[1 - d % 2::2] *= -1.0  # the k with k + d odd
     # + 0.0 turns the -0.0 of k^2 (k^2 - 1) / 3 at k = 0, and of a flipped
     # zero, into the recurrence's +0.0
-    return np.where(flip, -at_one, at_one) + 0.0
+    rows += 0.0
+    return rows
 
 
 def endpoint_values(k, endpoint):

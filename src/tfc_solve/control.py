@@ -1,22 +1,27 @@
 """State/costate two-point problems solved by block collocation.
 
-The coupled first-order system
+The coupled first-order system for z = (x1, x2, lambda1, lambda2),
 
-    d/dt {x, lambda} = [[A11, A12], [A21, A22]] {x, lambda},
+    d/dt {x, lambda} = [[A11, A12], [A21, A22]] {x, lambda} = A z,
     x(t0) = x0,  lambda(tf) = lambda_f,
 
-is solved with the constrained expressions
+is solved with the scalar solver's embedding (`solver._eliminate`): a
+component's boundary values are constraint rows over T_0..T_m, and its
+series is c_K = xi, c_S = a - W xi, so the boundary values hold for any xi.
+The collocated dynamics residual is minimized by least squares over the xi
+of every block with the scalar solver's kernel, `solver.solve_ls`. Which
+embedding is used is read off A at the nodes:
 
-    x(t)      = x0       + [[h - h0]; [hdot - hdot0]] alpha
-    lambda(t) = lambda_f + [[beta^T]; [gamma^T]] (h - hf)
+- companion form (A11 row 0 is (0, 1) and A12 row 0 is (0, 0) at every
+  node, exactly): x1 carries both x0[0] and x0[1] (pivots S = {0, 1} at
+  t0) and x2 = x1', so the first state equation holds identically. The
+  system has the x1'' row and the two costate rows per node, and m - 1 + 2m
+  columns: 3N x (3m - 1).
+- any other A: each component carries its own boundary value (S = {0} at
+  its end), and all four equations are collocated: 4N x 4m.
 
-where h is the Chebyshev basis in the mapped variable and the state is
-structured as x = {x, xdot}. Both boundary conditions hold exactly for
-any coefficients; the collocated dynamics residual is minimized by
-least squares over (alpha, beta, gamma) with the scalar solver's kernel,
-`solver.solve_ls`. The constant basis element vanishes exactly from
-h - h0, hdot, hddot and h - hf, so its three coefficients are zero and
-the block system has columns for basis elements 1..m only.
+Each costate component carries its terminal value (S = {0} at x = +1) in
+both. The solution is one Chebyshev series per component of z.
 """
 
 from dataclasses import dataclass
@@ -24,15 +29,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chebyshev import _clip_to_interval, eval_basis_grid
+from .chebyshev import _clip_to_interval, derivative_series, eval_basis_grid
+from .embedding import ConstraintSpec
 from .errors import NodeSingularity
 from .mapping import DomainMap
-from .solver import CollocationConfig, solve_ls
+from .solver import CollocationConfig, _eliminate, solve_ls
 
 
 @dataclass(frozen=True)
 class StateCostateProblem:
     """d/dt {x, lambda} = [[A11, A12], [A21, A22]] {x, lambda} on [t0, tf].
+
+    Any A is supported. When A11's row 0 is exactly (0, 1) and A12's row 0
+    exactly (0, 0) at every node (-0.0 counts as 0), x2 = x1' and the
+    smaller companion-form system is solved; otherwise every component gets
+    its own series and all four equations are collocated.
 
     Each block is a callable of t. Called with an array of N times it may
     return the block at every time, shape (2, 2, N), or one constant (2, 2)
@@ -66,11 +77,17 @@ def _basis_in_t(dmap, m, t, d_max=2):
 
 @dataclass
 class StateCostateSolution:
+    """state(t) is (x1, x2) and costate(t) is (lambda1, lambda2), (2, len(t)).
+
+    coefficients[i] holds the Chebyshev coefficients c_0..c_m, in the mapped
+    variable x, of x1, x2, lambda1 and lambda2 for i = 0..3. The residual
+    statistics and cond_PtP are those of the system solved: 3N rows for
+    companion-form A, 4N otherwise.
+    """
+
     state: Callable
     costate: Callable
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
+    coefficients: np.ndarray
     residual_mean: float
     residual_std: float
     cond_PtP: float
@@ -98,13 +115,10 @@ def _blocks_at(fn, name, tnodes):
     except (TypeError, ValueError):
         a = None
     if a is not None and a.shape == (2, 2, n):
-        # contiguous like a per-node (2, 2), so each batched product below
-        # runs the same matmul kernel the per-node form did
-        a = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+        a = np.moveaxis(a, -1, 0)
     elif a is not None and a.shape == (2, 2) and all(
             _bits(fn(t)) == _bits(a) for t in tnodes[[0, -1]]):
-        # every node sees one contiguous (2, 2), as the per-node stack holds
-        a = np.broadcast_to(np.ascontiguousarray(a), (n, 2, 2))
+        a = np.broadcast_to(a, (n, 2, 2))
     else:
         values = [fn(t) for t in tnodes]
         try:
@@ -121,82 +135,139 @@ def _blocks_at(fn, name, tnodes):
     return a
 
 
-def assemble_state_costate(problem, cfg):
-    """Block system M (alpha, beta, gamma) = rhs over the collocation nodes.
+def _dynamics(problem, tnodes):
+    """A at every node, (4, 4, N), from one `_blocks_at` per block; each
+    entry's values over the nodes are contiguous."""
+    A = np.empty((4, 4, len(tnodes)))
+    for name, r, c in (("A11", 0, 0), ("A12", 0, 2), ("A21", 2, 0), ("A22", 2, 2)):
+        A[r:r + 2, c:c + 2] = np.moveaxis(_blocks_at(getattr(problem, name), name, tnodes), 0, -1)
+    return A
 
-    Rows per node: the two state equations then the two costate equations.
-    Columns: basis elements 1..m of alpha, then of beta, then of gamma. M is
-    Fortran-ordered, like the kernel's row-block buffer. No temporary of M's
-    size is made: every product goes through one (N, 2, m) scratch.
+
+def _is_companion(A):
+    """x1' = x2 exactly at every node: row 0 of A is (0, 1, 0, 0)."""
+    return bool(np.all(A[0] == np.array([0.0, 1.0, 0.0, 0.0])[:, None]))
+
+
+def _costate_blocks(lf):
+    """lambda1 and lambda2, each fixed at tf."""
+    return [((ConstraintSpec(0, 1.0, lf[i]),), ((2 + i, 0),)) for i in (0, 1)]
+
+
+def _companion_embedding(dmap, x0, lf):
+    """x1 with x1(t0) = x0[0] and x1'(t0) = x0[1], and x2 = x1'; rows 1..3.
+
+    A block is (constraints, feeds): x-domain constraint rows and values
+    for one series, and the (component, derivative order) pairs of z it
+    gives."""
+    x1 = (ConstraintSpec(0, -1.0, x0[0]),
+          ConstraintSpec(1, -1.0, dmap.scale_derivative_constraint(1, x0[1])))
+    return [(x1, ((0, 0), (1, 1)))] + _costate_blocks(lf), (1, 2, 3)
+
+
+def _general_embedding(dmap, x0, lf):
+    """One series per component of z, each with its own boundary value; rows
+    0..3."""
+    state = [((ConstraintSpec(0, -1.0, x0[i]),), ((i, 0),)) for i in (0, 1)]
+    return state + _costate_blocks(lf), (0, 1, 2, 3)
+
+
+def _coefficient_map(elim, m):
+    """Q, (m + 1) x (len(K) + 1): Q (xi, 1) is the series c_K = xi, c_S =
+    a - W xi, so Q^T T is (phi, p) with phi = T_K - T_S^T W and p = T_S^T a."""
+    S, K, W, a = elim
+    Q = np.zeros((m + 1, len(K) + 1))
+    Q[K, np.arange(len(K))] = 1.0
+    Q[S, :-1] = -W
+    Q[S, -1] = a
+    return Q
+
+
+def _block_system(dmap, tnodes, A, m, blocks, rows):
+    """M xi = rhs: z_r' - (A z)_r = 0 for r in rows at every node.
+
+    A block's series is phi xi + p; each of its feeds (c, d) makes z_c that
+    series' d-th t-derivative. Rows are equation-major: equation rows[i] at
+    node j is row i N + j. Columns are the blocks' xi in order. M is
+    Fortran-ordered, like the kernel's row-block buffer, and filled in
+    place: an entry is sum_c (-A[r, c]) z_c over the block's feeds, c
+    ascending, plus z_r' where the block feeds r. Also returns the map from
+    a solution xi to the (4, m + 1) coefficients of z.
     """
+    n = len(tnodes)
+    G = _basis_in_t(dmap, m, tnodes, 1 + max(d for _, f in blocks for _, d in f))
+    Qs = [_coefficient_map(_eliminate(constraints, m), m) for constraints, _ in blocks]
+    widths = [Q.shape[1] - 1 for Q in Qs]
+    negA = -A
+    buf = np.empty((sum(widths), len(rows), n))
+    scratch = np.empty((max(widths), n))
+    z = np.empty((4, n))    # particular part of z, and of z'
+    dz = np.empty((4, n))
+    col = 0
+    for (_, feeds), Q, w in zip(blocks, Qs, widths):
+        F = np.matmul(Q.T, G[:2 + max(d for _, d in feeds)])
+        phi, p = F[:, :w], F[:, w]
+        for i, r in enumerate(rows):
+            o = buf[col:col + w, i]
+            for j, (c, d) in enumerate(feeds):
+                if j:
+                    o += np.multiply(negA[r, c], phi[d], out=scratch[:w])
+                else:
+                    np.multiply(negA[r, c], phi[d], out=o)
+            for c, d in feeds:
+                if c == r:
+                    o += phi[d + 1]
+        for c, d in feeds:
+            z[c], dz[c] = p[d], p[d + 1]
+        col += w
+    rows = list(rows)
+    rhs = -dz[rows]
+    for c in range(4):
+        rhs += A[rows, c] * z[c]
+
+    def coefficients(xi):
+        out = np.empty((4, m + 1))
+        for (_, feeds), Q, xi_b in zip(blocks, Qs, np.split(xi, np.cumsum(widths)[:-1])):
+            c = Q @ np.append(xi_b, 1.0)
+            for comp, d in feeds:  # d is 0 or 1
+                out[comp] = dmap.dydx_to_dydt(derivative_series(c)) if d else c
+        return out
+
+    return buf.reshape(len(buf), -1).T, rhs.ravel(), coefficients
+
+
+def assemble_state_costate(problem, cfg):
+    """The block system (M, rhs) over the collocation nodes, and the map from
+    its solution xi to the (4, m + 1) coefficients of x1, x2, lambda1 and
+    lambda2: 3N x (3m - 1) for companion-form A, 4N x 4m otherwise."""
     dmap = DomainMap(problem.t0, problem.tf)
     tnodes = dmap.to_t(dmap.nodes(cfg.N, cfg.nodes))
-    m = cfg.m
-    # nodes, then t0 and tf, in one evaluation; each point's rows are its own
-    basis = _basis_in_t(dmap, m, np.r_[tnodes, problem.t0, problem.tf])[:, 1:]
-    h, hd, hdd = basis[:, :, :-2]
-    h0, hf = basis[:, :, -2:-1], basis[:, :, -1:]
-    A11, A12, A21, A22 = (_blocks_at(getattr(problem, name), name, tnodes)
-                          for name in ("A11", "A12", "A21", "A22"))
-
-    # Node-major stack Hx[j] = [h - h0; hdot - hdot0] at node j, (N, 2, m).
-    Hx = np.subtract(basis[:2, :, :-2].transpose(2, 0, 1), h0[:2, :, 0], order="C")
-    dhf = (h - hf[0]).T[:, None, :]          # (N, 1, m)
-    hdT = hd.T
-
-    # M4[j, row, block, k]: row 0-1 state, 2-3 costate; block alpha/beta/gamma.
-    # It is a view of the C-ordered buf[block, k, j, row], whose (3m, 4N)
-    # reshape is the transpose of M. Products go through the contiguous
-    # scratch prod, so each batched one runs the kernel a new array gets.
-    buf = np.empty((3, m, cfg.N, 4))
-    M4 = buf.transpose(2, 3, 0, 1)
-    prod = A11 @ Hx
-    np.subtract(hdT, prod[:, 0], out=M4[:, 0, 0])
-    np.subtract(hdd.T, prod[:, 1], out=M4[:, 1, 0])
-    # (-A21) @ Hx: negating the product instead would turn +0.0 into -0.0
-    M4[:, 2:, 0] = np.matmul(-A21, Hx, out=prod)
-    # Beta (k = 0) feeds lambda row 0 and gamma (k = 1) row 1, so a @ [dhf; 0]
-    # is a[:, 0] * dhf and a @ [0; dhf] is a[:, 1] * dhf. "0.0 -" and "+ 0.0"
-    # keep its zeros +0.0, as the 2x2 matrix products of the per-node form did.
-    for k in (0, 1):
-        np.subtract(0.0, np.multiply(A12[:, :, k:k + 1], dhf, out=prod), out=M4[:, :2, 1 + k])
-        a22_dhf = np.add(np.multiply(A22[:, :, k:k + 1], dhf, out=prod), 0.0, out=prod)
-        np.subtract(0.0, a22_dhf, out=M4[:, 2:, 1 + k])
-        np.subtract(hdT, a22_dhf[:, k], out=M4[:, 2 + k, 1 + k])
-
-    x0 = np.asarray(problem.x0, dtype=float)
-    lf = np.asarray(problem.lambda_f, dtype=float)
-    rhs = np.concatenate([A11 @ x0 + A12 @ lf, A21 @ x0 + A22 @ lf], axis=1)
-    return buf.reshape(3 * m, 4 * cfg.N).T, rhs.ravel()
+    A = _dynamics(problem, tnodes)
+    x0, lf = (np.asarray(v, dtype=float) for v in (problem.x0, problem.lambda_f))
+    if x0.shape != (2,) or lf.shape != (2,):
+        raise ValueError("x0 and lambda_f must each hold 2 values")
+    embedding = _companion_embedding if _is_companion(A) else _general_embedding
+    return _block_system(dmap, tnodes, A, cfg.m, *embedding(dmap, x0, lf))
 
 
 def solve_state_costate(problem, cfg=None):
     """LS solve of the block system; boundary values exact by construction."""
     cfg = cfg or CollocationConfig(m=17, N=200)
     dmap = DomainMap(problem.t0, problem.tf)
-    M, rhs = assemble_state_costate(problem, cfg)
-    # each node's weight applies to its four rows
-    weights = None if cfg.weights is None else np.repeat(cfg.weights, 4)
+    M, rhs, coefficients = assemble_state_costate(problem, cfg)
+    # each node's weight applies to its row of every equation
+    weights = None if cfg.weights is None else np.tile(cfg.weights, len(rhs) // cfg.N)
     sol = solve_ls(M, rhs, weights, cfg.scaling)
-    alpha, beta, gamma = (np.r_[0.0, xi] for xi in sol.xi.reshape(3, cfg.m))
-
-    ends = _basis_in_t(dmap, cfg.m, [problem.t0, problem.tf], 1)
-    h0, hf = ends[:, :, :1], ends[:, :, 1:]
-    x0 = np.asarray(problem.x0, dtype=float)
-    lf = np.asarray(problem.lambda_f, dtype=float)
-    bg = np.vstack([beta, gamma])
+    coef = coefficients(sol.xi)
 
     def state(t):
-        h, hd = _basis_in_t(dmap, cfg.m, t, 1)
-        return x0[:, None] + np.vstack([alpha @ (h - h0[0]), alpha @ (hd - h0[1])])
+        return coef[:2] @ _basis_in_t(dmap, cfg.m, t, 0)[0]
 
     def costate(t):
-        h, = _basis_in_t(dmap, cfg.m, t, 0)
-        return lf[:, None] + bg @ (h - hf[0])
+        return coef[2:] @ _basis_in_t(dmap, cfg.m, t, 0)[0]
 
     return StateCostateSolution(
-        state=state, costate=costate,
-        alpha=alpha, beta=beta, gamma=gamma,
+        state=state, costate=costate, coefficients=coef,
         residual_mean=sol.residual_mean, residual_std=sol.residual_std,
         cond_PtP=sol.cond_PtP, rank_deficient=sol.rank_deficient,
     )

@@ -87,26 +87,32 @@ def _eliminate(constraints, m):
     """Gauss-Jordan elimination of [C | c], C the constraint rows over T_0..T_m
     and c their values: pivot columns S lowest degree first, each only if it
     raises the rank, the rest K, W = C_S^-1 C_K and a = C_S^-1 c. Raises
-    ValueError when C has rank below the constraint count."""
+    ValueError when C has rank below the constraint count.
+
+    The rows are a few short lists, so they are reduced as Python floats:
+    each step rounds as the numpy row operations would."""
     n = len(constraints)
-    A = np.empty((n, m + 2))
-    A[:, :-1] = endpoint_rows(m, [c.order for c in constraints],
-                              [c.location for c in constraints])
-    A[:, -1] = [c.value for c in constraints]
-    tol = PIVOT_TOL * np.abs(A).max(axis=0)
+    C = endpoint_rows(m, [c.order for c in constraints],
+                      [c.location for c in constraints]).tolist()
+    rows = [row + [float(c.value)] for row, c in zip(C, constraints)]
     S = []
     for k in range(m + 1):
         r = len(S)
-        p = max(range(r, n), key=lambda i: abs(A[i, k]))
-        if abs(A[p, k]) > tol[k]:
-            A[[r, p]] = A[[p, r]]
-            A[r] /= A[r, k]
-            for i in set(range(n)) - {r}:
-                A[i] -= A[i, k] * A[r]
+        p = max(range(r, n), key=lambda i: abs(rows[i][k]))
+        # the cut-off scales with column k of C, read before elimination
+        if abs(rows[p][k]) > PIVOT_TOL * max(abs(row[k]) for row in C):
+            rows[r], rows[p] = rows[p], rows[r]
+            pivot = rows[r][k]
+            rows[r] = [v / pivot for v in rows[r]]
+            for i in range(n):
+                if i != r:
+                    f = rows[i][k]
+                    rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
             S.append(k)
             if len(S) == n:
-                K = [j for j in range(m + 1) if j not in S]
-                return S, np.array(K), A[:, K], A[:, -1]
+                A = np.array(rows)
+                K = np.array([j for j in range(m + 1) if j not in S])
+                return S, K, A[:, K], A[:, -1]
     raise ValueError(f"the {n} constraint rows have rank {len(S)} on T_0..T_{m}")
 
 

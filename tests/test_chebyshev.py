@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tfc_solve import DomainError, endpoint_values, eval_basis, eval_basis_grid
-from tfc_solve.chebyshev import endpoint_rows
+from tfc_solve.chebyshev import derivative_series, endpoint_rows
 
 
 def test_base_cases():
@@ -167,3 +167,17 @@ def test_endpoint_rows_mixed_ends_and_orders():
 def test_endpoint_rows_refuse_other_points_and_orders(orders, endpoints):
     with pytest.raises(ValueError):
         endpoint_rows(10, orders, endpoints)
+
+
+def test_derivative_series():
+    # T_3' = 12 x^2 - 3 = 3 T_0 + 6 T_2
+    assert derivative_series(np.array([0.0, 0.0, 0.0, 1.0])).tolist() == [3.0, 0.0, 6.0, 0.0]
+    rng = np.random.default_rng(4)
+    x = np.linspace(-1.0, 1.0, 41)
+    for m in (1, 2, 5, 30):
+        c = rng.standard_normal(m + 1)
+        b = derivative_series(c)
+        assert b.shape == c.shape and b[-1] == 0.0
+        assert np.allclose(b[:-1], np.polynomial.chebyshev.chebder(c), rtol=1e-14, atol=1e-14)
+        assert np.allclose(b @ eval_basis_grid(m, 0, x)[0], c @ eval_basis_grid(m, 1, x)[1],
+                           rtol=1e-13, atol=1e-13 * m * m)

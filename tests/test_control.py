@@ -8,16 +8,26 @@ import pytest
 
 from tfc_solve import (
     CollocationConfig,
+    ConstraintSpec,
     DomainError,
     DomainMap,
     NodeSingularity,
     StateCostateProblem,
     eval_basis_grid,
     shoot_state_costate,
+    solve_ls,
     solve_state_costate,
 )
-from tfc_solve.cli import load_problem
-from tfc_solve.control import _basis_in_t, assemble_state_costate
+from tfc_solve.cli import load_problem, main
+from tfc_solve.control import (
+    _basis_in_t,
+    _block_system,
+    _coefficient_map,
+    _dynamics,
+    _general_embedding,
+    assemble_state_costate,
+)
+from tfc_solve.solver import _eliminate
 
 I2 = np.eye(2)
 Z2 = np.zeros((2, 2))
@@ -70,20 +80,25 @@ def test_boundary_conditions_exact_for_any_coefficients():
     assert np.max(np.abs(sol.costate(1.0)[:, 0] - prob.lambda_f)) <= 1e-11
 
 
+def diagonal_problem():
+    # not companion form: x1' = -x1 - l1 does not make x2 = x1'
+    return StateCostateProblem(
+        A11=const(np.diag([-1.0, -2.0])), A12=const(-I2),
+        A21=const(-I2), A22=const(np.diag([1.0, 2.0])),
+        x0=np.array([1.0, 0.5]), lambda_f=np.array([0.0, 0.0]),
+        t0=0.0, tf=2.0,
+    )
+
+
 def test_constant_basis_columns_dropped():
-    # T0 contributes nothing through h - h0, hdot, hddot or h - hf, so the
-    # block system leaves its three columns out
-    prob = lqr_problem()
-    dmap = DomainMap(prob.t0, prob.tf)
-    for nodes in ("uniform", "lobatto"):
-        t = dmap.to_t(dmap.nodes(80, nodes))
-        h, hd, hdd = _basis_in_t(dmap, 10, t)
-        h0 = _basis_in_t(dmap, 10, [prob.t0])
-        hf = _basis_in_t(dmap, 10, [prob.tf])
-        for row in (h - h0[0], hd - h0[1], hd, hdd, h - hf[0]):
-            assert np.all(row[0] == 0.0)
-    M, _ = assemble_state_costate(prob, CollocationConfig(m=10, N=80))
-    assert M.shape == (4 * 80, 3 * 10)
+    # every block's pivot columns are eliminated: T_0 and T_1 of x1 with
+    # x2 = x1' in companion form, and T_0 of each other component
+    for problem, shape in ((lqr_problem(), (3 * 80, 3 * 10 - 1)),
+                           (diagonal_problem(), (4 * 80, 4 * 10))):
+        for nodes in ("uniform", "lobatto"):
+            M, rhs, _ = assemble_state_costate(problem, CollocationConfig(m=10, N=80, nodes=nodes))
+            assert M.shape == shape
+            assert rhs.shape == shape[:1]
 
 
 def test_lqr_matches_shooting_oracle():
@@ -140,13 +155,13 @@ def test_rhs_affine_in_boundary_data():
     # rhs is linear in (x0, lambda_f): doubling both doubles the rhs
     prob = lqr_problem()
     cfg = CollocationConfig(m=6, N=30)
-    _, rhs1 = assemble_state_costate(prob, cfg)
+    rhs1 = assemble_state_costate(prob, cfg)[1]
     prob2 = StateCostateProblem(
         A11=prob.A11, A12=prob.A12, A21=prob.A21, A22=prob.A22,
         x0=2.0 * np.asarray(prob.x0), lambda_f=2.0 * np.asarray(prob.lambda_f),
         t0=prob.t0, tf=prob.tf,
     )
-    _, rhs2 = assemble_state_costate(prob2, cfg)
+    rhs2 = assemble_state_costate(prob2, cfg)[1]
     assert np.max(np.abs(rhs2 - 2.0 * rhs1)) <= 1e-13
 
 
@@ -164,48 +179,64 @@ def test_solution_outside_interval_raises():
 
 
 # ---------------------------------------------------------------------------
-# The vectorised block assembly against the per-node loop it replaced.
+# The in-place block assembly against an allocating per-node form.
 
 
 def assemble_per_node(problem, cfg):
-    """Reference: M and rhs built node by node, one A call per block."""
+    """Reference: M and rhs built node by node, one A call per block.
+
+    In companion form x1 = phi_x xi_x + p_x with x1(t0) and x1'(t0) fixed,
+    x2 = x1', and the rows are x2' = x1'' and the two costate equations.
+    Otherwise each component has its own series, fixed at its end, and all
+    four equations are rows. Each costate component is fixed at tf. An
+    entry is the sum of -A[r, c] z_c over the block's feeds, c ascending,
+    plus z_r' where the block feeds row r; rows are equation-major.
+    """
     dmap = DomainMap(problem.t0, problem.tf)
     tnodes = dmap.to_t(dmap.nodes(cfg.N, cfg.nodes))
     m = cfg.m
-    nb = m + 1
-    h, hd, hdd = _basis_in_t(dmap, m, tnodes)
-    h0 = _basis_in_t(dmap, m, [problem.t0])
-    hf = _basis_in_t(dmap, m, [problem.tf])
-    dh0 = h - h0[0]
-    dhd0 = hd - h0[1]
-    dhf = h - hf[0]
+    x0 = [float(v) for v in problem.x0]
+    lf = [float(v) for v in problem.lambda_f]
+    a = [np.block([[problem.A11(t), problem.A12(t)], [problem.A21(t), problem.A22(t)]])
+         for t in tnodes]
+    companion = all(np.array_equal(aj[0], [0.0, 1.0, 0.0, 0.0]) for aj in a)
+    if companion:
+        x1 = (ConstraintSpec(0, -1.0, x0[0]), ConstraintSpec(1, -1.0, x0[1] * dmap.delta_t / 2.0))
+        blocks = [(x1, [(0, 0), (1, 1)])]
+        rows = [1, 2, 3]
+    else:
+        blocks = [((ConstraintSpec(0, -1.0, x0[i]),), [(i, 0)]) for i in (0, 1)]
+        rows = [0, 1, 2, 3]
+    blocks += [((ConstraintSpec(0, 1.0, lf[i]),), [(2 + i, 0)]) for i in (0, 1)]
+    G = _basis_in_t(dmap, m, tnodes)
+    # (phi, p) of each block, its derivatives over the nodes
+    F = [_coefficient_map(_eliminate(cs, m), m).T @ G for cs, _ in blocks]
 
-    x0 = np.asarray(problem.x0, dtype=float)
-    lf = np.asarray(problem.lambda_f, dtype=float)
-
-    M = np.zeros((4 * cfg.N, 3 * nb))
-    rhs = np.zeros(4 * cfg.N)
-    for j, t in enumerate(tnodes):
-        a11 = np.asarray(problem.A11(t), dtype=float)
-        a12 = np.asarray(problem.A12(t), dtype=float)
-        a21 = np.asarray(problem.A21(t), dtype=float)
-        a22 = np.asarray(problem.A22(t), dtype=float)
-        Hx = np.vstack([dh0[:, j], dhd0[:, j]])
-        Gxd = np.vstack([hd[:, j], hdd[:, j]])
-        Hl_b = np.vstack([dhf[:, j], np.zeros(nb)])
-        Hl_g = np.vstack([np.zeros(nb), dhf[:, j]])
-        Ld_b = np.vstack([hd[:, j], np.zeros(nb)])
-        Ld_g = np.vstack([np.zeros(nb), hd[:, j]])
-
-        r = 4 * j
-        M[r:r + 2, 0:nb] = Gxd - a11 @ Hx
-        M[r:r + 2, nb:2 * nb] = -a12 @ Hl_b
-        M[r:r + 2, 2 * nb:] = -a12 @ Hl_g
-        M[r + 2:r + 4, 0:nb] = -a21 @ Hx
-        M[r + 2:r + 4, nb:2 * nb] = Ld_b - a22 @ Hl_b
-        M[r + 2:r + 4, 2 * nb:] = Ld_g - a22 @ Hl_g
-        rhs[r:r + 2] = a11 @ x0 + a12 @ lf
-        rhs[r + 2:r + 4] = a21 @ x0 + a22 @ lf
+    cols = sum(len(f[0]) - 1 for f in F)
+    M = np.zeros((len(rows) * cfg.N, cols))
+    rhs = np.zeros(len(rows) * cfg.N)
+    for j in range(cfg.N):
+        z, dz = np.zeros(4), np.zeros(4)
+        for (_, feeds), f in zip(blocks, F):
+            for c, d in feeds:
+                z[c], dz[c] = f[d, -1, j], f[d + 1, -1, j]
+        for i, r in enumerate(rows):
+            col = 0
+            for (_, feeds), f in zip(blocks, F):
+                w = len(f[0]) - 1
+                entry = None
+                for c, d in feeds:
+                    term = -a[j][r, c] * f[d, :w, j]
+                    entry = term if entry is None else entry + term
+                for c, d in feeds:
+                    if c == r:
+                        entry = entry + f[d + 1, :w, j]
+                M[i * cfg.N + j, col:col + w] = entry
+                col += w
+            value = -dz[r]
+            for c in range(4):
+                value = value + a[j][r, c] * z[c]
+            rhs[i * cfg.N + j] = value
     return M, rhs
 
 
@@ -259,7 +290,14 @@ def parsed_problem(tmp_path):
     return load_problem(str(path)).control
 
 
+def general_problem():
+    # scalar_only_problem with x1' = -0.3 x1 + x2: not companion form
+    p = scalar_only_problem()
+    return replace(p, A11=lambda t: np.array([[-0.3, 1.0], [-stiffness(t), 0.0]]))
+
+
 A_KINDS = {
+    "general": lambda tmp_path: general_problem(),
     "scalar_numpy": lambda tmp_path: scalar_only_problem(),
     "constant": lambda tmp_path: lqr_problem(),
     "array_numpy": lambda tmp_path: array_problem(),
@@ -274,12 +312,15 @@ def test_assembly_bit_identical_to_per_node_loop(tmp_path, kind, nodes):
     for m in (2, 17, 25):
         for n in (m + 1, 200, 1001):
             cfg = CollocationConfig(m=m, N=n, nodes=nodes)
-            M, rhs = assemble_state_costate(problem, cfg)
+            M, rhs, _ = assemble_state_costate(problem, cfg)
             M_ref, rhs_ref = assemble_per_node(problem, cfg)
+            # parsed, per-node numpy, array and constant companion-form A
+            # all get the 3N x (3m - 1) system
+            assert M.shape == ((4 * n, 4 * m) if kind == "general" else (3 * n, 3 * m - 1))
             # the kernel's P @ xi rounds by memory order; control's
             # outputs are fixed for an F-ordered M
             assert M.flags.f_contiguous
-            assert_bit_identical(M, np.delete(M_ref, [0, m + 1, 2 * (m + 1)], axis=1))
+            assert_bit_identical(M, M_ref)
             assert_bit_identical(rhs, rhs_ref)
 
 
@@ -329,10 +370,10 @@ def test_constant_looking_block_falls_back_to_per_node(reduce, probes):
     calls = []
     problem = replace(scalar_only_problem(), A22=counted(a22, calls))
     cfg = CollocationConfig(m=10, N=50)
-    M, rhs = assemble_state_costate(problem, cfg)
+    M, rhs, _ = assemble_state_costate(problem, cfg)
     assert calls == [1] + [0] * (probes + cfg.N)
     M_ref, rhs_ref = assemble_per_node(problem, cfg)
-    assert_bit_identical(M, np.delete(M_ref, [0, cfg.m + 1, 2 * (cfg.m + 1)], axis=1))
+    assert_bit_identical(M, M_ref)
     assert_bit_identical(rhs, rhs_ref)
 
 
@@ -347,12 +388,16 @@ def test_one_basis_evaluation_per_point_set(monkeypatch):
 
     monkeypatch.setattr(control, "eval_basis_grid", grid)
     sol = solve_state_costate(lqr_problem(), CollocationConfig(m=10, N=50))
-    # nodes with both ends, then both ends for the solution callables
-    assert orders == [(2, 52), (1, 2)]
+    # the nodes only: the end values are closed forms (`endpoint_rows`)
+    assert orders == [(2, 50)]
     orders.clear()
     sol.state(np.linspace(0.0, 2.0, 7))
     sol.costate(np.linspace(0.0, 2.0, 7))
-    assert orders == [(1, 7), (0, 7)]
+    # plain series: x2's is the derivative of x1's
+    assert orders == [(0, 7), (0, 7)]
+    orders.clear()
+    solve_state_costate(diagonal_problem(), CollocationConfig(m=10, N=50))
+    assert orders == [(1, 50)]
 
 
 def test_callable_raising_type_error_propagates():
@@ -396,6 +441,13 @@ def test_wrong_shaped_block_is_rejected(value, shape):
         solve_state_costate(problem, CollocationConfig(m=8, N=40))
 
 
+@pytest.mark.parametrize("field", ["x0", "lambda_f"])
+def test_boundary_values_must_be_two_vectors(field):
+    problem = replace(lqr_problem(), **{field: [1.0, 0.0, 0.0]})
+    with pytest.raises(ValueError, match="x0 and lambda_f must each hold 2 values"):
+        solve_state_costate(problem, CollocationConfig(m=8, N=40))
+
+
 def test_block_of_varying_shape_is_rejected():
     def a21(t):
         return np.eye(2) if t < 1.0 else np.eye(3)
@@ -409,8 +461,7 @@ def test_unit_weights_match_no_weights_bit_for_bit():
     problem = lqr_problem()
     plain = solve_state_costate(problem, CollocationConfig(m=12, N=90))
     unit = solve_state_costate(problem, CollocationConfig(m=12, N=90, weights=np.ones(90)))
-    for field in ("alpha", "beta", "gamma"):
-        assert_bit_identical(getattr(unit, field), getattr(plain, field))
+    assert_bit_identical(unit.coefficients, plain.coefficients)
     assert unit.residual_std == plain.residual_std
     assert unit.cond_PtP == plain.cond_PtP
 
@@ -420,9 +471,112 @@ def test_node_weights_change_the_solution():
     weights = np.r_[np.ones(45), np.full(45, 1e6)]
     plain = solve_state_costate(problem, CollocationConfig(m=12, N=90))
     weighted = solve_state_costate(problem, CollocationConfig(m=12, N=90, weights=weights))
-    coeffs = np.r_[plain.alpha, plain.beta, plain.gamma]
-    changed = np.r_[weighted.alpha, weighted.beta, weighted.gamma]
-    assert not np.array_equal(changed, coeffs)
+    assert not np.array_equal(weighted.coefficients, plain.coefficients)
     # the boundary values hold for any coefficients
     assert np.allclose(weighted.state(0.0)[:, 0], problem.x0, atol=1e-12)
     assert np.allclose(weighted.costate(2.0)[:, 0], problem.lambda_f, atol=1e-12)
+
+
+def test_node_weights_apply_to_every_equation_row():
+    # row i N + j is equation i at node j, and takes node j's weight
+    problem = lqr_problem()
+    weights = np.linspace(1.0, 5.0, 60)
+    cfg = CollocationConfig(m=9, N=60)
+    sol = solve_state_costate(problem, replace(cfg, weights=weights))
+    M, rhs = assemble_per_node(problem, cfg)
+    row_weights = np.array([weights[r % 60] for r in range(len(rhs))])
+    coefficients = assemble_state_costate(problem, cfg)[2]
+    assert_bit_identical(sol.coefficients, coefficients(solve_ls(M, rhs, row_weights).xi))
+
+
+# ---------------------------------------------------------------------------
+# Which system runs: companion form read off A at the nodes, and the general
+# system for any other A.
+
+
+def oracle_error(sol, problem, steps=2000):
+    ts, zs = shoot_state_costate(problem, steps=steps)
+    return np.max(np.abs(np.vstack([sol.state(ts), sol.costate(ts)]) - zs.T))
+
+
+def test_non_companion_dynamics_match_shooting_oracle(tmp_path):
+    # x2 = x1' does not hold here, so each component gets its own series
+    problem = diagonal_problem()
+    cfg = CollocationConfig(m=17, N=1000)
+    assert assemble_state_costate(problem, cfg)[0].shape == (4 * 1000, 4 * 17)
+    sol = solve_state_costate(problem, cfg)
+    assert oracle_error(sol, problem) <= 1e-12
+
+    doc = {
+        "schema_version": 1, "kind": "control", "interval": [0.0, 2.0],
+        "A11": [["-1", "0"], ["0", "-2"]], "A12": [["-1", "0"], ["0", "-1"]],
+        "A21": [["-1", "0"], ["0", "-1"]], "A22": [["1", "0"], ["0", "2"]],
+        "x0": [1.0, 0.5], "lambda_f": [0.0, 0.0], "solver": {"m": 17, "N": 1000},
+    }
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps(doc))
+    assert main(["control", str(path), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "solution.csv").read_text().splitlines()[1:]
+    data = np.array([[float(v) for v in line.split(",")] for line in lines])
+    # the csv times t_i = 2 i / 999 are every other node of a 1998-step oracle
+    ts, zs = shoot_state_costate(problem, steps=1998)
+    assert np.max(np.abs(data[:, 0] - ts[::2])) <= 1e-15
+    assert np.max(np.abs(data[:, 1:] - zs[::2])) <= 1e-12
+
+
+@pytest.mark.parametrize("block, entry, value", [
+    ("A11", (0, 1), np.nextafter(1.0, 2.0)),
+    ("A12", (0, 1), 1e-300),
+])
+def test_one_ulp_from_companion_form_takes_the_general_path(block, entry, value):
+    # the LQR problem, with one entry of row 0 off companion form at node N // 2
+    cfg = CollocationConfig(m=17, N=1000)
+    dmap = DomainMap(0.0, 2.0)
+    t_mid = dmap.to_t(dmap.nodes(cfg.N))[cfg.N // 2]
+    base = getattr(lqr_problem(), block)(0.0)
+
+    def a(t):
+        out = base.copy()
+        if t == t_mid:
+            out[entry] = value
+        return out
+
+    problem = replace(lqr_problem(), **{block: a})
+    M, _, _ = assemble_state_costate(problem, cfg)
+    assert M.shape == (4 * cfg.N, 4 * cfg.m)
+    assert oracle_error(solve_state_costate(problem, cfg), lqr_problem()) <= 1e-12
+
+
+def lqr_family(seed):
+    """x'' = -k(t) x + u with cost q1 x^2 + q2 x'^2 + r u^2, k = k0 + k1 sin 2t:
+    the state/costate benchmark's problem family, with its parameter ranges."""
+    rng = np.random.default_rng(seed)
+    q1, q2, r, k0, k1 = rng.uniform([0.5, 0.5, 0.5, 0.8, 0.4], [2.0, 2.0, 2.0, 1.2, 0.6])
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    k = lambda t: k0 + k1 * np.sin(2.0 * t)  # noqa: E731
+    return StateCostateProblem(
+        A11=lambda t: np.array([[0.0, 1.0], [-k(t), 0.0]]),
+        A12=const(np.array([[0.0, 0.0], [0.0, -1.0 / r]])),
+        A21=const(np.array([[-q1, 0.0], [0.0, -q2]])),
+        A22=lambda t: np.array([[0.0, k(t)], [-1.0, 0.0]]),
+        x0=[np.cos(phi), np.sin(phi)], lambda_f=[0.0, 0.0], t0=0.0, tf=2.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_general_path_agrees_with_companion_path_on_lqr_family(seed):
+    # at m = 24 both series have converged; at m = 17 each is 2e-11 to 6e-11
+    # off the shooting oracle, and the two differ by up to 4.9e-11
+    problem = lqr_family(seed)
+    cfg = CollocationConfig(m=24, N=1000)
+    dmap = DomainMap(problem.t0, problem.tf)
+    tnodes = dmap.to_t(dmap.nodes(cfg.N))
+    M, rhs, coefficients = _block_system(
+        dmap, tnodes, _dynamics(problem, tnodes), cfg.m,
+        *_general_embedding(dmap, problem.x0, problem.lambda_f))
+    assert M.shape == (4 * cfg.N, 4 * cfg.m)
+    assert assemble_state_costate(problem, cfg)[0].shape == (3 * cfg.N, 3 * cfg.m - 1)
+    general = coefficients(solve_ls(M, rhs).xi)
+    sol = solve_state_costate(problem, cfg)
+    t = np.linspace(0.0, 2.0, 1001)
+    h = _basis_in_t(dmap, cfg.m, t, 0)[0]
+    assert np.max(np.abs(general @ h - np.vstack([sol.state(t), sol.costate(t)]))) <= 1e-12

@@ -710,6 +710,54 @@ def test_assemble_bit_identical_to_allocating_form(case_id, nodes):
             assert _bits(lam) == _bits(lam_ref), (m, N)
 
 
+def _reference_eliminate(constraints, m):
+    """Gauss-Jordan on [C | c] as numpy row operations, over the recurrence's
+    endpoint values."""
+    n = len(constraints)
+    A = np.empty((n, m + 2))
+    for i, c in enumerate(constraints):
+        A[i, :-1] = eval_basis_grid(m, 2, c.location)[c.order, :, 0]
+        A[i, -1] = c.value
+    tol = 1e-10 * np.abs(A).max(axis=0)
+    S = []
+    for k in range(m + 1):
+        r = len(S)
+        p = max(range(r, n), key=lambda i: abs(A[i, k]))
+        if abs(A[p, k]) > tol[k]:
+            A[[r, p]] = A[[p, r]]
+            A[r] /= A[r, k]
+            for i in set(range(n)) - {r}:
+                A[i] -= A[i, k] * A[r]
+            S.append(k)
+            if len(S) == n:
+                K = [j for j in range(m + 1) if j not in S]
+                return S, np.array(K), A[:, K], A[:, -1]
+    raise ValueError(f"the {n} constraint rows have rank {len(S)} on T_0..T_{m}")
+
+
+_ENDS = [(d, e) for e in (-1.0, 1.0) for d in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("m", [2, 17, 30])
+def test_eliminate_bit_identical_to_numpy_row_operations(m):
+    # all 15 pairs of distinct (order, end) constraints, and one alone
+    sets = [(p, q) for i, p in enumerate(_ENDS) for q in _ENDS[i + 1:]] + [((0, 1.0),)]
+    for specs in sets:
+        for values in ((0.7, -1.3e-3), (0.0, -0.0)):
+            constraints = tuple(ConstraintSpec(d, e, v) for (d, e), v in zip(specs, values))
+            try:
+                ref = _reference_eliminate(constraints, m)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    _eliminate(constraints, m)
+                continue
+            S, K, W, a = _eliminate(constraints, m)
+            assert S == ref[0], specs
+            assert K.dtype == ref[1].dtype and _bits(K) == _bits(ref[1]), specs
+            assert _bits(W) == _bits(ref[2]), specs
+            assert _bits(a) == _bits(ref[3]), specs
+
+
 # --- the published beta polynomials, as a reference -------------------------
 
 def _beta_route(ode, triples, cfg):

@@ -7,7 +7,8 @@ inputs produce byte-identical outputs.
 
 Exit codes: 0 success (converged, infinite_solutions, or indeterminate),
 2 no_solution, 3 parse, configuration or solve error (including a sweep
-in which every m failed).
+in which every m failed, and a sweep or classify of a problem file with
+solver.weights).
 """
 
 import argparse
@@ -275,6 +276,8 @@ def cmd_solve(problem, args, out):
 
 def _run_sweep(problem, args):
     cfg = problem.config(args)
+    if cfg.weights is not None:  # m_sweep assembles the unweighted system
+        raise ProblemFileError(f"{args.subcommand} does not take solver.weights")
     report = m_sweep(problem.ode, problem.constraints, _sweep_range(args, problem),
                      N=cfg.N, nodes=cfg.nodes, scaling=cfg.scaling)
     if all(r.error is not None for r in report.per_m):

@@ -5,9 +5,10 @@ The coupled first-order system for z = (x1, x2, lambda1, lambda2),
     d/dt {x, lambda} = [[A11, A12], [A21, A22]] {x, lambda} = A z,
     x(t0) = x0,  lambda(tf) = lambda_f,
 
-is solved with the scalar solver's embedding (`solver._eliminate`): a
+is solved with the scalar solver's embedding (`embedding._eliminate`): a
 component's boundary values are constraint rows over T_0..T_m, and its
-series is c_K = xi, c_S = a - W xi, so the boundary values hold for any xi.
+series is c_K = xi, c_S = a - W xi (`embedding._coefficient_map`), so the
+boundary values hold for any xi.
 The collocated dynamics residual is minimized by least squares over the xi
 of every block with the scalar solver's kernel, `solver.solve_ls`. Which
 embedding is used is read off A at the nodes:
@@ -30,10 +31,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chebyshev import _clip_to_interval, derivative_series, eval_basis_grid
-from .embedding import ConstraintSpec
+from .embedding import ConstraintSpec, _coefficient_map, _eliminate
 from .errors import NodeSingularity
 from .mapping import DomainMap
-from .solver import CollocationConfig, _eliminate, solve_ls
+from .solver import CollocationConfig, solve_ls
 
 
 @dataclass(frozen=True)
@@ -170,17 +171,6 @@ def _general_embedding(dmap, x0, lf):
     0..3."""
     state = [((ConstraintSpec(0, -1.0, x0[i]),), ((i, 0),)) for i in (0, 1)]
     return state + _costate_blocks(lf), (0, 1, 2, 3)
-
-
-def _coefficient_map(elim, m):
-    """Q, (m + 1) x (len(K) + 1): Q (xi, 1) is the series c_K = xi, c_S =
-    a - W xi, so Q^T T is (phi, p) with phi = T_K - T_S^T W and p = T_S^T a."""
-    S, K, W, a = elim
-    Q = np.zeros((m + 1, len(K) + 1))
-    Q[K, np.arange(len(K))] = 1.0
-    Q[S, :-1] = -W
-    Q[S, -1] = a
-    return Q
 
 
 def _block_system(dmap, tnodes, A, m, blocks, rows):

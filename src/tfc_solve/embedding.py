@@ -7,10 +7,12 @@ polynomials satisfy the Kronecker property
 
     d^{d_k} beta_i / dx^{d_k} (x_k) = delta_ik.
 
-Every constraint then holds identically in g. The twelve published
-two-constraint cases are hard-coded with their beta polynomials, as
-reference data; the solver itself eliminates the constraint rows (see
-`solver`). A generic builder covers arbitrary small constraint sets.
+Every constraint then holds identically in g. `eliminate` builds every
+such expression: Gauss-Jordan on constraint rows C over a basis (the
+null-space method; Bjorck 1996, section 5.1). On Chebyshev endpoint rows it
+gives the solver's series (`_eliminate`); on monomial rows against the
+identity, its pivots are the betas' support and C_S^-1 their coefficients.
+The twelve published two-constraint cases are reference data.
 """
 
 import math
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chebyshev import endpoint_rows
 from .errors import SingularConstraintSet
 
 MAX_CONSTRAINTS = 6
@@ -44,15 +47,8 @@ class RelativeConstraintSpec:
 
 def _monomial_deriv_row(exponents, order, x):
     """Values of d^order/dx^order x^e at x, for each exponent e."""
-    row = np.zeros(len(exponents))
-    for j, e in enumerate(exponents):
-        if order > e:
-            continue
-        c = 1.0
-        for i in range(order):
-            c *= e - i
-        row[j] = c * x ** (e - order)
-    return row
+    return np.array([math.perm(e, order) * x ** (e - order) if order <= e else 0.0
+                     for e in exponents], dtype=float)
 
 
 class BetaSet:
@@ -79,42 +75,84 @@ class BetaSet:
         return (rows @ self.coefficients).T
 
 
-def build_betas(constraints):
-    """Construct betas for arbitrary distinct constraints.
+def eliminate(C, values):
+    """Gauss-Jordan on [C | values], C the n constraint rows over a basis and
+    values their n x r right-hand sides: pivot columns S lowest degree first,
+    each only if it raises the rank, the rest K; returns S, K, W = C_S^-1 C_K
+    and C_S^-1 values, or raises SingularConstraintSet on rank below n. The
+    rows are reduced as Python floats, rounding as numpy row operations do."""
+    C = np.asarray(C, dtype=float).tolist()
+    n, cols = len(C), len(C[0])
+    rows = [row + list(map(float, rhs)) for row, rhs in zip(C, values)]
+    S = []
+    for k in range(cols):
+        r = len(S)
+        col = [abs(row[k]) for row in rows[r:]]
+        big = max(col)
+        # the cut-off scales with column k of C, read before elimination; a
+        # zero column never pivots, so its scan is skipped
+        if big and big > PIVOT_TOL * max(abs(row[k]) for row in C):
+            p = r + col.index(big)  # the first largest
+            rows[r], rows[p] = rows[p], rows[r]
+            pivot = rows[r][k]
+            if pivot != 1.0:  # v / 1.0 is v, bit for bit
+                rows[r] = [v / pivot for v in rows[r]]
+            for i in range(n):
+                if i != r:
+                    f = rows[i][k]
+                    rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+            S.append(k)
+            if len(S) == n:
+                A = np.array(rows)
+                K = np.array([j for j in range(cols) if j not in S])
+                return S, K, A[:, K], A[:, cols:]
+    raise SingularConstraintSet(f"the {n} constraint rows have rank {len(S)}")
 
-    Greedily selects the lowest-degree monomials x^e (e = 0, 1, 2, ...)
-    whose constraint-application columns stay linearly independent, then
-    solves for the coefficients enforcing the Kronecker property.
-    """
+
+def _eliminate(constraints, m):
+    """`eliminate` over T_0..T_m for x-domain ConstraintSpecs at -1 or +1: S,
+    K, W and a = C_S^-1 c; ValueError on rank below the constraint count."""
+    C = endpoint_rows(m, [c.order for c in constraints], [c.location for c in constraints])
+    try:
+        S, K, W, a = eliminate(C, [(c.value,) for c in constraints])
+    except SingularConstraintSet as exc:
+        raise ValueError(f"{exc} on T_0..T_{m}") from None
+    return S, K, W, a[:, 0]
+
+
+def _coefficient_map(elim, m):
+    """Q, (m + 1) x (len(K) + 1): Q (xi, 1) is the series c_K = xi, c_S =
+    a - W xi, so Q^T T is (phi, p) with phi = T_K - T_S^T W and p = T_S^T a."""
+    S, K, W, a = elim
+    Q = np.zeros((m + 1, len(K) + 1))
+    Q[K, np.arange(len(K))] = 1.0
+    Q[S, :-1] = -W
+    Q[S, -1] = a
+    return Q
+
+
+def _beta_set(rows):
+    """Betas of functionals given as rows over x^0, x^1, ...: the pivots of
+    `eliminate` against the identity are the support, C_S^-1 the coefficients."""
+    S, _, _, A = eliminate(rows, np.eye(len(rows)))
+    return BetaSet(S, A)
+
+
+def build_betas(constraints):
+    """Betas for arbitrary distinct constraints, on the lowest-degree
+    monomials x^e (e = 0, 1, 2, ...) that raise the rank of their rows."""
     n = len(constraints)
     if not 1 <= n <= MAX_CONSTRAINTS:
         raise ValueError(f"need 1..{MAX_CONSTRAINTS} constraints, got {n}")
     seen = {(c.order, c.location) for c in constraints}
     if len(seen) < n:
         raise SingularConstraintSet("duplicate (order, location) constraint pair")
-
-    support = []
-    columns = []
-    for e in range(n + 5):
-        col = np.array(
-            [_monomial_deriv_row([e], c.order, c.location)[0] for c in constraints]
-        )
-        trial = columns + [col]
-        a = np.column_stack(trial)
-        s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] > PIVOT_TOL * max(s[0], 1.0):
-            support.append(e)
-            columns.append(col)
-        if len(support) == n:
-            break
-    else:
+    try:
+        return _beta_set([_monomial_deriv_row(range(n + 5), c.order, c.location)
+                          for c in constraints])
+    except SingularConstraintSet:
         raise SingularConstraintSet(
-            "no nonsingular monomial support within exponent budget"
-        )
-
-    a = np.column_stack(columns)  # a[k, j] = constraint k applied to x^support[j]
-    coeffs = np.linalg.solve(a, np.eye(n))
-    return BetaSet(support, coeffs)
+            "no nonsingular monomial support within exponent budget") from None
 
 
 class ConstrainedExpression:
@@ -196,9 +234,9 @@ def fixed_case_expression(case_id, constraint_values):
 class RelativeEmbedding:
     """Periodic-style embedding: y(t1) = y(t2) and ydot(t1) = ydot(t2).
 
-    y(t) = g(t) + (g1 - g2) t / (t2 - t1)
-                + (gdot1 - gdot2) t (t - t1 - t2) / (2 (t2 - t1))
-    for any free function g, where g1 = g(t1) etc.
+    y(t) = g(t) - beta_0(t) (g1 - g2) - beta_1(t) (gdot1 - gdot2) for any
+    free function g, where g1 = g(t1) etc.; the betas come from `eliminate`
+    on the two relative rows over 1, t, t^2.
     """
 
     def __init__(self, t1, t2):
@@ -206,19 +244,14 @@ class RelativeEmbedding:
             raise ValueError("relative constraint locations must differ")
         self.t1 = float(t1)
         self.t2 = float(t2)
+        self.betas = _beta_set([_monomial_deriv_row(range(3), d, self.t1)
+                                - _monomial_deriv_row(range(3), d, self.t2) for d in (0, 1)])
 
     def eval_with(self, t, g_fn, dg_fn):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        t1, t2 = self.t1, self.t2
-        dg01 = float(g_fn(t1)) - float(g_fn(t2))
-        dg11 = float(dg_fn(t1)) - float(dg_fn(t2))
-        ba = t / (t2 - t1)
-        bb = t * (t - t1 - t2) / (2.0 * (t2 - t1))
-        y = g_fn(t) + dg01 * ba + dg11 * bb
-        dba = 1.0 / (t2 - t1)
-        dbb = (2.0 * t - t1 - t2) / (2.0 * (t2 - t1))
-        yd = dg_fn(t) + dg01 * dba + dg11 * dbb
-        return y, yd
+        gap = np.array([float(g_fn(self.t1)) - float(g_fn(self.t2)),
+                        float(dg_fn(self.t1)) - float(dg_fn(self.t2))])
+        return g_fn(t) - gap @ self.betas.eval(t, 0), dg_fn(t) - gap @ self.betas.eval(t, 1)
 
 
 def build_relative_betas(specs):

@@ -3,11 +3,12 @@
 y is a Chebyshev series sum_k c_k T_k, k = 0..m. Its two constraints, of
 order 0, 1 or 2 at t1 or t2, are the rows C of T_k^(d)(-1 or +1) values
 (`chebyshev.endpoint_rows`), and C c must equal their values. Eliminating C
-(the null-space method; Bjorck 1996, section 5.1) leaves the kept columns K
-free: any c_K = xi with c_S = a - W xi meets the constraints. Column j of the
-collocation matrix is the mapped homogeneous ODE operator L applied to
-T_{K_j} - T_S^T W_j; the right-hand side is f - L T_S^T a. The basis
-recurrence runs once per point set, never at a single point.
+with the package's one elimination (`embedding._eliminate`, the null-space
+method; Bjorck 1996, section 5.1) leaves the kept columns K free: any c_K =
+xi with c_S = a - W xi meets the constraints. Column j of the collocation
+matrix is the mapped homogeneous ODE operator L applied to T_{K_j} - T_S^T
+W_j; the right-hand side is f - L T_S^T a. The basis recurrence runs once
+per point set, never at a single point.
 
 `solve_ls(P, lam, weights, scaling)` is the least-squares kernel shared with
 the state/costate block solver: a QR of the scaled [P | lambda], taken as
@@ -26,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .chebyshev import _clip_to_interval, endpoint_rows, eval_basis_grid
-from .embedding import PIVOT_TOL, ConstraintSpec, fixed_case_expression
+from .chebyshev import _clip_to_interval, eval_basis_grid
+from .embedding import ConstraintSpec, _eliminate, fixed_case_expression
 from .errors import TfcSolveError
 from .problem import map_ode
 
@@ -83,39 +84,6 @@ class LSSolution:
         )
 
 
-def _eliminate(constraints, m):
-    """Gauss-Jordan elimination of [C | c], C the constraint rows over T_0..T_m
-    and c their values: pivot columns S lowest degree first, each only if it
-    raises the rank, the rest K, W = C_S^-1 C_K and a = C_S^-1 c. Raises
-    ValueError when C has rank below the constraint count.
-
-    The rows are a few short lists, so they are reduced as Python floats:
-    each step rounds as the numpy row operations would."""
-    n = len(constraints)
-    C = endpoint_rows(m, [c.order for c in constraints],
-                      [c.location for c in constraints]).tolist()
-    rows = [row + [float(c.value)] for row, c in zip(C, constraints)]
-    S = []
-    for k in range(m + 1):
-        r = len(S)
-        p = max(range(r, n), key=lambda i: abs(rows[i][k]))
-        # the cut-off scales with column k of C, read before elimination
-        if abs(rows[p][k]) > PIVOT_TOL * max(abs(row[k]) for row in C):
-            rows[r], rows[p] = rows[p], rows[r]
-            pivot = rows[r][k]
-            rows[r] = [v / pivot for v in rows[r]]
-            for i in range(n):
-                if i != r:
-                    f = rows[i][k]
-                    rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-            S.append(k)
-            if len(S) == n:
-                A = np.array(rows)
-                K = np.array([j for j in range(m + 1) if j not in S])
-                return S, K, A[:, K], A[:, -1]
-    raise ValueError(f"the {n} constraint rows have rank {len(S)} on T_0..T_{m}")
-
-
 def assemble(constraints, mapped, cfg, *, _elim=None):
     """The N x (m - 1) system P xi = lambda over the kept columns K: with L
     the mapped homogeneous operator, P = L T_K - (L T_S)^T W and lambda =
@@ -149,8 +117,8 @@ def _factor(P, lam, weights, scaling):
     then the blocks' triangles stacked (the tall-skinny QR); a system of one
     block is factored as a whole. The norms square eight columns at a time
     into a Fortran-order scratch, so each column keeps the pairwise sum
-    np.linalg.norm gives a Fortran-order array. A weight or scale of 1.0 is
-    applied too: it changes no bit.
+    np.linalg.norm gives a Fortran-order array. Without weights P is squared
+    into it directly; a scale of 1.0 is applied too: it changes no bit.
     """
     _require_finite("P", P)
     _require_finite("lam", lam)
@@ -163,8 +131,8 @@ def _factor(P, lam, weights, scaling):
         sq = np.empty((rows, min(n, 8)), order="F")
         for j in range(0, n, 8):
             c = min(8, n - j)
-            np.multiply(P[:, j:j + c], sw, out=sq[:, :c])
-            np.square(sq[:, :c], out=sq[:, :c])
+            Pj = P[:, j:j + c]
+            np.square(Pj if weights is None else np.multiply(Pj, sw, out=sq[:, :c]), out=sq[:, :c])
             np.sqrt(np.add.reduce(sq[:, :c], axis=0), out=s[j:j + c])
         s[s == 0.0] = 1.0
         del sq  # freed before the block buffer is made

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tfc_solve import catalog
 from tfc_solve.cli import main, write_json
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -312,6 +313,20 @@ def test_every_m_failing_is_a_solve_error(tmp_path, capsys, subcommand):
     assert "m = 3" in err and "f is non-finite at node 500" in err
     assert list(out.iterdir()) == []
 
+
+@pytest.mark.parametrize("subcommand", ["sweep", "classify"])
+def test_sweep_of_a_weighted_problem_is_config_error(tmp_path, capsys, subcommand):
+    # the sweep would assemble the unweighted system and ignore the weights
+    doc = catalog.get("sec42").to_problem_file()
+    doc["solver"] = {"N": 200, "weights": np.linspace(1.0, 100.0, 200).tolist()}
+    pfile = tmp_path / "weighted.json"
+    pfile.write_text(json.dumps(doc))
+    code, out = run(tmp_path, subcommand, str(pfile), "--m", "17..17")
+    assert code == 3
+    assert capsys.readouterr().err == f"error[config]: {subcommand} does not take solver.weights\n"
+    assert list(out.iterdir()) == []
+    code, _ = run(tmp_path / "solve", "solve", str(pfile), "--m", "17")
+    assert code == 0
 
 def test_empty_m_range_is_config_error(tmp_path, capsys):
     code, out = run(tmp_path, "classify", "catalog:eq26", "--m", "5..3")

@@ -22,12 +22,11 @@ from tfc_solve.cli import load_problem, main
 from tfc_solve.control import (
     _basis_in_t,
     _block_system,
-    _coefficient_map,
     _dynamics,
     _general_embedding,
     assemble_state_costate,
 )
-from tfc_solve.solver import _eliminate
+from tfc_solve.embedding import _coefficient_map, _eliminate
 
 I2 = np.eye(2)
 Z2 = np.zeros((2, 2))

@@ -13,7 +13,7 @@ from tfc_solve import (
     build_relative_betas,
     fixed_case_expression,
 )
-from tfc_solve.embedding import FIXED_CASES, _monomial_deriv_row
+from tfc_solve.embedding import FIXED_CASES, PIVOT_TOL, _monomial_deriv_row
 
 
 def kronecker_matrix(betas, constraints):
@@ -146,6 +146,44 @@ def test_example1_configuration():
     b1 = betas.eval(np.array([0.0, 1.0]), deriv=1)
     assert b1[0] == pytest.approx([1.0, 0.0], abs=1e-12)
     assert b1[1] == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+def _svd_support(constraints):
+    """Reference support, by the SVD rank search `build_betas` ran before it
+    eliminated: x^e joins while the constraint columns stay independent."""
+    support, columns = [], []
+    for e in range(len(constraints) + 5):
+        col = np.array([_monomial_deriv_row([e], c.order, c.location)[0] for c in constraints])
+        s = np.linalg.svd(np.column_stack(columns + [col]), compute_uv=False)
+        if s[-1] > PIVOT_TOL * max(s[0], 1.0):
+            support.append(e)
+            columns.append(col)
+        if len(support) == len(constraints):
+            return tuple(support)
+    return None
+
+
+def test_elimination_keeps_the_svd_search_supports():
+    rng = np.random.default_rng(7)
+    sets = [[ConstraintSpec(2, -1.0), ConstraintSpec(0, 0.0),
+             ConstraintSpec(0, 2.0), ConstraintSpec(1, 2.0)]]
+    for _ in range(2000):
+        n = int(rng.integers(1, 7))
+        locs = rng.uniform(-1, 1, n)
+        while len(np.unique(np.round(locs, 6))) < n:
+            locs = rng.uniform(-1, 1, n)
+        sets.append([ConstraintSpec(int(rng.integers(0, 3)), float(x)) for x in locs])
+    for constraints in sets:
+        betas = build_betas(constraints)
+        assert betas.monomial_support == _svd_support(constraints), constraints
+        # 1e-10 of the size of the terms each Kronecker entry sums: close
+        # points make coefficients of 1e6 whose evaluation alone rounds to
+        # 1e-10, on any route to them
+        rows = np.array([_monomial_deriv_row(betas.monomial_support, c.order, c.location)
+                         for c in constraints])
+        terms = np.abs(rows) @ np.abs(betas.coefficients)
+        gap = np.abs(kronecker_matrix(betas, constraints) - np.eye(len(constraints)))
+        assert np.all(gap <= 1e-10 * np.maximum(1.0, terms)), constraints
 
 
 # --- relative constraints --------------------------------------------------

@@ -16,11 +16,10 @@ from tfc_solve import (
 )
 from tfc_solve.catalog import CATALOG
 from tfc_solve.chebyshev import _clip_to_interval, endpoint_rows, eval_basis_grid
-from tfc_solve.embedding import FIXED_CASES, ConstraintSpec
+from tfc_solve.embedding import FIXED_CASES, ConstraintSpec, _eliminate
 from tfc_solve.solver import (
     RANK_DEFICIENT_TOL,
     LSSolution,
-    _eliminate,
     _expression,
     _factor,
     _make_solution,

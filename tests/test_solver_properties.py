@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from tfc_solve import map_ode, solve_ls
 from tfc_solve.catalog import CATALOG
 from tfc_solve.chebyshev import endpoint_rows
-from tfc_solve.solver import _QR_BLOCK_ROWS, _eliminate, _expression, _factor, _make_solution
+from tfc_solve.embedding import _eliminate
+from tfc_solve.solver import _QR_BLOCK_ROWS, _expression, _factor, _make_solution
 
 
 def _row_signs_fixed(R):

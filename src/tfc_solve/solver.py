@@ -13,9 +13,12 @@ per point set, never at a single point.
 `solve_ls(P, lam, weights, scaling)` is the least-squares kernel shared with
 the state/costate block solver: a QR of the scaled [P | lambda], taken as
 the Householder QR of each block of rows followed by one QR of their stacked
-triangles, and an SVD of the small triangle R. `m_sweep` assembles and
+triangles. xi comes from the small triangle R (`_xi_from_r`): its singular
+values give cond(P^T P), then a solve on R, or a full SVD of R where lstsq's
+cut-off drops a value. The residual statistics (`_residual_statistics`)
+come from one product for any number of solutions. `m_sweep` assembles and
 factors once; each m reads a leading block of R, which any QR's triangle
-provides.
+provides, in ascending m.
 
 No temporary of the system's size is made besides the system matrix and one
 scratch; products go into existing arrays (`out=`) and keep their bits.
@@ -72,16 +75,6 @@ class LSSolution:
     cond_PtP: float
     rank_deficient: bool
     solution: object = None
-
-    def sweep_row(self, m):
-        return diagnostics.SweepRow(
-            m=m,
-            residual_mean=self.residual_mean,
-            residual_abs_mean=self.residual_abs_mean,
-            residual_std=self.residual_std,
-            cond_PtP=self.cond_PtP,
-            rank_deficient=self.rank_deficient,
-        )
 
 
 def assemble(constraints, mapped, cfg, *, _elim=None):
@@ -148,42 +141,57 @@ def _factor(P, lam, weights, scaling):
     return (Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")), s
 
 
-def _solve_from_r(R, P, lam, s):
-    """The least-squares solve on P, the leading n columns of a factored system.
+def _xi_from_r(R, rows, n, s, cut=False):
+    """xi on the leading n columns of a factored system of rows rows, with
+    cond(P^T P), the rank-deficiency flag and whether the full SVD was taken,
+    which the caller passes back as cut for more leading columns.
 
     R is the triangle of the QR factorization of [Ps | lw], whose first n
     columns are P weighted and divided by the scales s[:n]. R is upper
-    triangular, so [Ps | lw] = QR gives Ps = Q[:, :n] R[:n, :n]: R[:n, :n] is
-    the triangle of those n columns and R[:n, -1] is Q^T lw for them. The
-    singular values of R[:n, :n] are those of the scaled P; xi is the
-    minimum-norm solution with lstsq's default cut-off, and the residuals are
-    formed explicitly from the unscaled P.
+    triangular, so [Ps | lw] = QR gives Ps = Q[:, :n] R[:n, :n]: T = R[:n, :n]
+    is the triangle of those n columns, R[:n, -1] is Q^T lw for them, and the
+    singular values of T are those of the scaled P. A square T whose singular
+    values all pass the cut-off gives xi by a solve on T, the QR least-squares
+    solution (Bjorck 1996). Otherwise xi is the minimum-norm solution from a
+    full SVD of T, keeping the values above the cut-off. A T with fewer rows
+    than n takes the full SVD at once, and so does cut=True: singular values
+    of leading columns interlace (Golub & Van Loan, section 8.6), so a cut-off
+    that drops a value on fewer leading columns drops one on more.
     """
-    rows, n = P.shape
-    U, sv, Vt = np.linalg.svd(R[:n, :n], full_matrices=False)
+    T, b = R[:n, :n], R[:n, -1]
+    eps_rows = np.finfo(float).eps * max(rows, n)
+    cut = cut or len(T) < n
+    if not cut:
+        sv = np.linalg.svd(T, compute_uv=False)
+        cut = sv[-1] <= eps_rows * sv[0]
+    if cut:
+        U, sv, Vt = np.linalg.svd(T, full_matrices=False)
+        keep = sv > eps_rows * sv[0]
+        z = Vt[keep].T @ ((U[:, keep].T @ b) / sv[keep])
+    else:
+        z = np.linalg.solve(T, b)
     smax, smin = sv[0], sv[-1]
-    rank_deficient = bool(smin < RANK_DEFICIENT_TOL * smax)
     cond = np.inf if smin == 0.0 else (smax / smin) ** 2
+    return z / s[:n], float(cond), bool(smin < RANK_DEFICIENT_TOL * smax), cut
 
-    keep = sv > np.finfo(float).eps * max(rows, n) * smax
-    z = Vt[keep].T @ ((U[:, keep].T @ R[:n, -1]) / sv[keep])
-    xi = z / s[:n]
 
-    # the add-reduce and divide of np.mean / np.std, without their
-    # dispatch, so the statistics keep numpy's bits
-    r = P @ xi - lam
-    mean = r.sum() / rows
-    dev = r - mean
+def _residual_statistics(P, Xi, lam, scratch):
+    """The residuals P Xi - lambda of every column of Xi, one product into a
+    Fortran-order (rows x columns) array, and each column's mean, mean |r|
+    and standard deviation. These are the add-reduce and divide of np.mean /
+    np.std without their dispatch; a column's sum runs along contiguous
+    memory, so it is numpy's pairwise sum and keeps np.std's bits. scratch,
+    Fortran-order with len(P) rows and at least Xi's columns, is written
+    once the product is formed, so it may be P itself."""
+    rows = len(P)
+    r = np.matmul(P[:, :len(Xi)], Xi, out=np.empty((rows, Xi.shape[1]), order="F"))
+    r -= lam[:, None]
+    dev = np.abs(r, out=scratch[:, :r.shape[1]])
+    abs_mean = np.add.reduce(dev, axis=0) / rows
+    mean = np.add.reduce(r, axis=0) / rows
+    np.subtract(r, mean, out=dev)
     dev *= dev
-    return LSSolution(
-        xi=xi,
-        residuals=r,
-        residual_mean=float(mean),
-        residual_abs_mean=float(np.abs(r).sum() / rows),
-        residual_std=float(np.sqrt(dev.sum() / rows)),
-        cond_PtP=float(cond),
-        rank_deficient=rank_deficient,
-    )
+    return r, mean, abs_mean, np.sqrt(np.add.reduce(dev, axis=0) / rows)
 
 
 def solve_ls(P, lam, weights=None, scaling="column_norm"):
@@ -191,13 +199,23 @@ def solve_ls(P, lam, weights=None, scaling="column_norm"):
 
     Rows are weighted by sqrt(weights), one weight per row; scaling is
     "column_norm" or "none". One QR of the scaled [P | lambda], over blocks
-    of rows, then an SVD of the small triangle; raises ValueError on a
-    non-finite P, lambda or weight.
+    of rows, then xi from the small triangle (`_xi_from_r`); raises
+    ValueError on a non-finite P, lambda or weight.
     """
     P = np.asarray(P, dtype=float)
     lam = np.asarray(lam, dtype=float)
     R, s = _factor(P, lam, weights, scaling)
-    return _solve_from_r(R, P, lam, s)
+    xi, cond, rank_deficient, _ = _xi_from_r(R, *P.shape, s)
+    r, mean, abs_mean, std = _residual_statistics(P, xi[:, None], lam, np.empty((len(P), 1)))
+    return LSSolution(
+        xi=xi,
+        residuals=r[:, 0],
+        residual_mean=float(mean[0]),
+        residual_abs_mean=float(abs_mean[0]),
+        residual_std=float(std[0]),
+        cond_PtP=cond,
+        rank_deficient=rank_deficient,
+    )
 
 
 def _expression(mapped, constraints):
@@ -263,7 +281,8 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
     The pivots S are the same for every m >= max S, so the kept columns of a
     smaller m lead those of a larger one: the system is assembled and factored
     once at the largest valid m, and each m reads the leading (m - 1) x (m - 1)
-    block of R. An m below max S gets an error row.
+    block of R. An m below max S gets an error row. The residuals of every
+    row come from one product P Xi - lambda.
     """
     ms = [int(m) for m in m_range]
     cfgs, errors = {}, {}
@@ -282,18 +301,32 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
         except _ROW_ERRORS as exc:
             errors.update(dict.fromkeys(cfgs, str(exc)))
 
+    # rows in ascending m, whatever m_range's order, so that a row's bits
+    # do not depend on it; once the cut-off drops a value, it drops one at
+    # every larger m
+    solved, cut = {}, False
+    for m in sorted(set(cfgs) - set(errors)):
+        try:
+            if m < elim[0][-1]:
+                _eliminate(constraints, m)  # raises: T_0..T_m hold too few pivots
+            solved[m] = _xi_from_r(R, len(P), m - 1, s, cut)
+            cut = solved[m][3]
+        except _ROW_ERRORS as exc:
+            errors[m] = str(exc)
+    if solved:
+        Xi = np.zeros((max(solved) - 1, len(solved)))
+        for j, (xi, *_) in enumerate(solved.values()):
+            Xi[:len(xi), j] = xi
+        # P is spent once the product is formed: its columns take the deviations
+        _, *stats = _residual_statistics(P, Xi, lam, P)
+        for j, (m, (_, cond, rank_deficient, _)) in enumerate(solved.items()):
+            solved[m] = diagnostics.SweepRow(m, *(float(a[j]) for a in stats),
+                                             cond, rank_deficient)
+
     rows = []
     for m in ms:
-        if m not in errors:
-            try:
-                if m < elim[0][-1]:
-                    _eliminate(constraints, m)  # raises: T_0..T_m hold too few pivots
-                rows.append(_solve_from_r(R, P[:, :m - 1], lam, s).sweep_row(m))
-            except _ROW_ERRORS as exc:
-                errors[m] = str(exc)
-        if m in errors:
-            rows.append(diagnostics.SweepRow(
-                m=m, residual_mean=np.nan, residual_abs_mean=np.nan,
-                residual_std=np.nan, cond_PtP=np.nan, rank_deficient=False,
-                error=errors[m]))
+        rows.append(solved[m] if m in solved else diagnostics.SweepRow(
+            m=m, residual_mean=np.nan, residual_abs_mean=np.nan,
+            residual_std=np.nan, cond_PtP=np.nan, rank_deficient=False,
+            error=errors[m]))
     return diagnostics.make_report(rows, **thresholds)

@@ -483,6 +483,11 @@ def _sweep_tol(name, ref, scaling, unit):
     return SWEEP_KAPPA_C * np.sqrt(ref.cond_PtP) * EPS * unit
 
 
+def _sweep_row(sol, m):
+    return diagnostics.SweepRow(m, sol.residual_mean, sol.residual_abs_mean,
+                                sol.residual_std, sol.cond_PtP, sol.rank_deficient)
+
+
 def _assert_sweep_rows_match(got_report, ref_report, lam, scaling):
     unit = max(1.0, np.max(np.abs(lam)))
     tol = {name: t * unit for name, t in SWEEP_ABS_TOL[scaling].items()}
@@ -519,9 +524,9 @@ def test_m_sweep_matches_per_m_solves(pid, nodes, scaling):
     rows = []
     for m in m_range:
         cfg = _cfg(m=m, nodes=nodes, scaling=scaling)
-        row = solve_problem(ode, constraints, cfg).sweep_row(m)
+        row = _sweep_row(solve_problem(ode, constraints, cfg), m)
         # a per-m solve is solve_ls on a column slice of the largest system
-        assert row == solve_ls(P[:, :m - 1], lam, scaling=scaling).sweep_row(m)
+        assert row == _sweep_row(solve_ls(P[:, :m - 1], lam, scaling=scaling), m)
         rows.append(row)
     _assert_sweep_rows_match(report, diagnostics.make_report(rows), lam, scaling)
 
@@ -534,7 +539,7 @@ def test_m_sweep_over_row_blocks_matches_per_m_solves():
     report = m_sweep(ode, constraints, m_range, N=3000)
     mapped = map_ode(ode)
     _, lam = assemble(_expression(mapped, constraints), mapped, _cfg(m=m_range[-1], N=3000))
-    rows = [solve_problem(ode, constraints, _cfg(m=m, N=3000)).sweep_row(m) for m in m_range]
+    rows = [_sweep_row(solve_problem(ode, constraints, _cfg(m=m, N=3000)), m) for m in m_range]
     _assert_sweep_rows_match(report, diagnostics.make_report(rows), lam, "column_norm")
 
 
@@ -614,6 +619,50 @@ def test_no_single_point_basis_evaluation(monkeypatch):
     sol.solution(np.linspace(1.0, 4.0, 11))
     m_sweep(_eq26(), CATALOG["eq26"].constraint_triples(), range(3, 10))
     assert calls == []
+
+
+def _row_bits(row):
+    values = [row.residual_mean, row.residual_abs_mean, row.residual_std, row.cond_PtP]
+    return row.m, np.array(values).tobytes(), row.rank_deficient, row.error
+
+
+@pytest.mark.parametrize("pid", ["eq26", "eq28"])
+def test_m_sweep_rows_do_not_depend_on_m_range_order(pid):
+    # rows are solved in ascending m whatever the order asked for; eq28's
+    # larger m drop a singular value, eq26's none
+    entry = CATALOG[pid]
+    ode, constraints = entry.ode(), entry.constraint_triples()
+    ms = list(range(entry.sweep[0], entry.sweep[1] + 1))
+    ref = {r.m: _row_bits(r) for r in m_sweep(ode, constraints, ms).per_m}
+    shuffled = [int(m) for m in np.random.default_rng(3).permutation(ms)]
+    for order in (ms[::-1], shuffled):
+        report = m_sweep(ode, constraints, order)
+        assert [_row_bits(r) for r in report.per_m] == [ref[m] for m in order]
+
+
+def test_full_svd_only_where_the_cut_off_drops_a_value(monkeypatch):
+    # the singular values alone give cond(PtP); a full SVD runs once on each
+    # eq28 row whose triangle has a value under lstsq's cut-off, m = 25..30
+    # (7 times under it and more; m = 24 is 8 times over), and only m = 25,
+    # the first, takes the singular values too
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append((kwargs.get("compute_uv", True), a.shape[1] + 1))
+        return original(a, *args, **kwargs)
+
+    def sweep_calls(pid):
+        calls.clear()
+        entry = CATALOG[pid]
+        m_sweep(entry.ode(), entry.constraint_triples(), range(entry.sweep[0], entry.sweep[1] + 1))
+        return [m for full, m in calls if full], [m for full, m in calls if not full]
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    solve_problem(_eq19(), CATALOG["eq19"].constraint_triples(), _cfg())
+    assert calls == [(False, 17)]
+    assert sweep_calls("eq26") == ([], list(range(3, 24)))
+    assert sweep_calls("eq28") == (list(range(25, 31)), list(range(3, 26)))
 
 
 def test_constraint_rows_need_an_interval_end():

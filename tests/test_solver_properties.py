@@ -4,14 +4,23 @@ derandomized so that every run draws the same examples."""
 from itertools import combinations
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tfc_solve import map_ode, solve_ls
 from tfc_solve.catalog import CATALOG
 from tfc_solve.chebyshev import endpoint_rows
 from tfc_solve.embedding import _eliminate
-from tfc_solve.solver import _QR_BLOCK_ROWS, _expression, _factor, _make_solution
+from tfc_solve.solver import (
+    _QR_BLOCK_ROWS,
+    RANK_DEFICIENT_TOL,
+    _expression,
+    _factor,
+    _make_solution,
+)
+
+EPS = np.finfo(float).eps
 
 
 def _row_signs_fixed(R):
@@ -97,3 +106,57 @@ def test_constraints_hold_for_any_xi(pair, pid, m, values, seed):
     solution = _make_solution(elim, mapped, m, xi)
     for d, at, v in triples:
         assert abs(solution(at)[d][0] - v) <= 1e-9 * max(1.0, abs(v)), (d, at, v)
+
+
+# Singular values of the scaled P from 1 down to 1e-15, straddling lstsq's
+# cut-off eps * max(rows, n) * sigma_max; optionally one column duplicated;
+# rows from 1, fewer than the columns included.
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rows=st.integers(1, 200), n=st.integers(1, 30), decades=st.floats(0.0, 15.0),
+       duplicate=st.booleans(), scaling=st.sampled_from(["column_norm", "none"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=3, n=8, decades=2.0, duplicate=False, scaling="none", seed=0)
+@example(rows=40, n=5, decades=0.0, duplicate=True, scaling="column_norm", seed=1)
+@example(rows=120, n=20, decades=15.0, duplicate=False, scaling="column_norm", seed=2)
+def test_kernel_matches_full_svd_and_lstsq(rows, n, decades, duplicate, scaling, seed):
+    rng = np.random.default_rng(seed)
+    k = min(rows, n)
+    U, _ = np.linalg.qr(rng.normal(size=(rows, k)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, k)))
+    P = (U * np.logspace(0.0, -decades, k)) @ V.T * 10.0 ** rng.uniform(-3, 3, size=n)
+    if duplicate and n > 1:
+        P[:, -1] = P[:, 0]
+    lam = rng.normal(size=rows)
+    sol = solve_ls(P, lam, scaling=scaling)
+
+    # the full-SVD reference on the same triangle R[:n, :n]
+    R, s = _factor(P, lam, None, scaling)
+    sv = np.linalg.svd(R[:n, :n])[1]
+    cond = np.inf if sv[-1] == 0.0 else (sv[0] / sv[-1]) ** 2
+    assert sol.cond_PtP == pytest.approx(cond, rel=1e-9)
+    assert sol.rank_deficient == bool(sv[-1] < RANK_DEFICIENT_TOL * sv[0])
+
+    # lstsq on the scaled P, away from the cut-off, where roundoff can tip a
+    # value either side of it
+    Ps = P / s
+    ref_sv = np.linalg.svd(Ps, compute_uv=False)
+    cutoff = EPS * max(rows, n) * ref_sv[0]
+    assume(np.all(np.abs(np.log10(ref_sv / cutoff)) > 0.1))
+    z_ref, *_ = np.linalg.lstsq(Ps, lam, rcond=None)
+    kept, dropped = ref_sv[ref_sv > cutoff], ref_sv[ref_sv <= cutoff]
+    kappa = kept[0] / kept[-1]
+    # a dropped value rotates the kept subspace by eps over the relative gap
+    gap = 1.0 - dropped[0] / kept[-1] if len(dropped) else 1.0
+    r_ref = np.linalg.norm(Ps @ z_ref - lam)
+    # measured: at most 0.28 of this bound over the draws
+    tol = 16.0 * EPS * kappa / gap * (np.linalg.norm(z_ref) + kappa * r_ref / kept[0])
+    assert np.linalg.norm(sol.xi * s - z_ref) <= tol
+
+    if len(kept) == n:
+        # full rank: the residual is orthogonal to every column, up to the
+        # backward error of the solve and of forming the residual (measured:
+        # at most 0.28 of the bound); eps ||P|| ||r|| alone fails by about
+        # cond(P) on ill-conditioned draws
+        norm = ref_sv[0]
+        bound = 4.0 * EPS * norm * (norm * np.linalg.norm(sol.xi * s) + np.linalg.norm(lam))
+        assert np.linalg.norm(Ps.T @ sol.residuals) <= bound

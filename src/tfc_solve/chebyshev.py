@@ -7,7 +7,9 @@ d-th derivatives follow the companion recurrence
 
 which fills the collocation matrix. At x = -1 and x = +1, where the
 constraints sit, T_k^(d) has a closed form; `endpoint_rows` gives it for
-every k at once, bit for bit what the recurrence gives there.
+every k at once, bit for bit what the recurrence gives there. A series
+sum_k c_k T_k is summed by Clenshaw's recurrence (`clenshaw`), which
+needs no table of the basis.
 """
 
 from dataclasses import dataclass
@@ -94,6 +96,31 @@ def derivative_series(c):
         b[k - 1] = b[k + 1] + 2.0 * k * c[k]
     b[0] /= 2.0
     return b[:n]
+
+
+def clenshaw(c, x):
+    """sum_k c[i, k] T_k(x) for every row i of c at points x in [-1, 1],
+    shape (len(c), len(x)).
+
+    Clenshaw's recurrence, from the top down: b_k = 2 x b_{k+1} - b_{k+2} +
+    c_k, then the sum is x b_1 - b_2 + c_0 (Clenshaw 1955; Mason &
+    Handscomb, Chebyshev Polynomials, 2003, section 2.4). It needs three
+    (rows, len(x)) arrays, and no table of the basis.
+    """
+    c = np.asarray(c, dtype=float)
+    x = np.atleast_1d(x)
+    b1, b2 = np.zeros((len(c), x.size)), np.zeros((len(c), x.size))
+    b = np.empty_like(b1)
+    x2 = 2.0 * x
+    for k in range(c.shape[1] - 1, 0, -1):
+        np.multiply(x2, b1, out=b)
+        b -= b2
+        b += c[:, k, None]
+        b1, b2, b = b, b1, b2
+    np.multiply(x, b1, out=b)
+    b -= b2
+    b += c[:, :1]
+    return b
 
 
 def eval_basis(m_max, d_max, x):

@@ -22,7 +22,8 @@ embedding is used is read off A at the nodes:
   its end), and all four equations are collocated: 4N x 4m.
 
 Each costate component carries its terminal value (S = {0} at x = +1) in
-both. The solution is one Chebyshev series per component of z.
+both. The solution is one Chebyshev series per component of z; `state`
+and `costate` sum them by Clenshaw's recurrence (`chebyshev.clenshaw`).
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chebyshev import _clip_to_interval, derivative_series, eval_basis_grid
+from .chebyshev import _clip_to_interval, clenshaw, derivative_series, eval_basis_grid
 from .embedding import ConstraintSpec, _coefficient_map, _eliminate
 from .errors import NodeSingularity
 from .mapping import DomainMap
@@ -64,11 +65,15 @@ class StateCostateProblem:
     tf: float
 
 
+def _x_at(dmap, t):
+    """The mapped points x of times t in [t0, tf], as a 1-d array."""
+    return _clip_to_interval(dmap.to_x(np.atleast_1d(np.asarray(t, dtype=float))))
+
+
 def _basis_in_t(dmap, m, t, d_max=2):
     """h, hdot, hddot rows (t-derivatives) at times t in [t0, tf] up to order
     d_max; (d_max + 1, m + 1, len(t))."""
-    x = _clip_to_interval(dmap.to_x(np.atleast_1d(np.asarray(t, dtype=float))))
-    grid = eval_basis_grid(m, d_max, x)
+    grid = eval_basis_grid(m, d_max, _x_at(dmap, t))
     if d_max >= 1:
         dmap.dydx_to_dydt(grid[1], out=grid[1])
     if d_max >= 2:
@@ -178,18 +183,19 @@ def _block_system(dmap, tnodes, A, m, blocks, rows):
 
     A block's series is phi xi + p; each of its feeds (c, d) makes z_c that
     series' d-th t-derivative. Rows are equation-major: equation rows[i] at
-    node j is row i N + j. Columns are the blocks' xi in order. M is
-    Fortran-ordered, like the kernel's row-block buffer, and filled in
-    place: an entry is sum_c (-A[r, c]) z_c over the block's feeds, c
-    ascending, plus z_r' where the block feeds r. Also returns the map from
-    a solution xi to the (4, m + 1) coefficients of z.
+    node j is row i N + j. Columns are the blocks' xi in order. M and rhs
+    are the columns of one Fortran-order [M | rhs] array, whose row blocks
+    the kernel factors as they stand, and are filled in place: an entry of
+    M is sum_c (-A[r, c]) z_c over the block's feeds, c ascending, plus z_r'
+    where the block feeds r. Also returns the map from a solution xi to the
+    (4, m + 1) coefficients of z.
     """
     n = len(tnodes)
     G = _basis_in_t(dmap, m, tnodes, 1 + max(d for _, f in blocks for _, d in f))
     Qs = [_coefficient_map(_eliminate(constraints, m), m) for constraints, _ in blocks]
     widths = [Q.shape[1] - 1 for Q in Qs]
     negA = -A
-    buf = np.empty((sum(widths), len(rows), n))
+    buf = np.empty((sum(widths) + 1, len(rows), n))  # the last slice is rhs
     scratch = np.empty((max(widths), n))
     z = np.empty((4, n))    # particular part of z, and of z'
     dz = np.empty((4, n))
@@ -211,7 +217,7 @@ def _block_system(dmap, tnodes, A, m, blocks, rows):
             z[c], dz[c] = p[d], p[d + 1]
         col += w
     rows = list(rows)
-    rhs = -dz[rows]
+    rhs = np.negative(dz[rows], out=buf[-1])
     for c in range(4):
         rhs += A[rows, c] * z[c]
 
@@ -223,7 +229,8 @@ def _block_system(dmap, tnodes, A, m, blocks, rows):
                 out[comp] = dmap.dydx_to_dydt(derivative_series(c)) if d else c
         return out
 
-    return buf.reshape(len(buf), -1).T, rhs.ravel(), coefficients
+    system = buf.reshape(len(buf), -1).T
+    return system[:, :-1], system[:, -1], coefficients
 
 
 def assemble_state_costate(problem, cfg):
@@ -251,10 +258,10 @@ def solve_state_costate(problem, cfg=None):
     coef = coefficients(sol.xi)
 
     def state(t):
-        return coef[:2] @ _basis_in_t(dmap, cfg.m, t, 0)[0]
+        return clenshaw(coef[:2], _x_at(dmap, t))
 
     def costate(t):
-        return coef[2:] @ _basis_in_t(dmap, cfg.m, t, 0)[0]
+        return clenshaw(coef[2:], _x_at(dmap, t))
 
     return StateCostateSolution(
         state=state, costate=costate, coefficients=coef,

@@ -7,13 +7,16 @@ with the package's one elimination (`embedding._eliminate`, the null-space
 method; Bjorck 1996, section 5.1) leaves the kept columns K free: any c_K =
 xi with c_S = a - W xi meets the constraints. Column j of the collocation
 matrix is the mapped homogeneous ODE operator L applied to T_{K_j} - T_S^T
-W_j; the right-hand side is f - L T_S^T a. The basis recurrence runs once
-per point set, never at a single point.
+W_j; the right-hand side is f - L T_S^T a. P and lambda are built as the
+columns of one Fortran-order [P | lambda] array. The basis recurrence runs
+once, at the collocation nodes; the solution callable sums its series by
+Clenshaw's recurrence.
 
 `solve_ls(P, lam, weights, scaling)` is the least-squares kernel shared with
-the state/costate block solver: a QR of the scaled [P | lambda], taken as
-the Householder QR of each block of rows followed by one QR of their stacked
-triangles. xi comes from the small triangle R (`_xi_from_r`): its singular
+the state/costate block solver: a QR of the row-weighted [P | lambda], taken
+as the Householder QR of each block of rows followed by one QR of their
+stacked triangles, then the column scaling applied to the small triangle R.
+xi comes from the scaled triangle (`_xi_from_r`): its singular
 values give cond(P^T P), then a solve on R, or a full SVD of R where lstsq's
 cut-off drops a value. The residual statistics (`_residual_statistics`)
 come from one product for any number of solutions. `m_sweep` assembles and
@@ -30,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .chebyshev import _clip_to_interval, eval_basis_grid
+from .chebyshev import _clip_to_interval, clenshaw, derivative_series, eval_basis_grid
 from .embedding import ConstraintSpec, _eliminate, fixed_case_expression
 from .errors import TfcSolveError
 from .problem import map_ode
@@ -81,7 +84,9 @@ def assemble(constraints, mapped, cfg, *, _elim=None):
     """The N x (m - 1) system P xi = lambda over the kept columns K: with L
     the mapped homogeneous operator, P = L T_K - (L T_S)^T W and lambda =
     f - (L T_S)^T a. constraints are x-domain ConstraintSpecs, and _elim is
-    their `_eliminate` at cfg.m when the caller has it."""
+    their `_eliminate` at cfg.m when the caller has it. P and lambda are
+    views of one Fortran-order (N, m) array, lambda its last column, which
+    `_factor` takes as it stands."""
     S, K, W, a = _elim or _eliminate(constraints, cfg.m)
     x = mapped.map.nodes(cfg.N, cfg.nodes)
     coeffs = mapped.coefficients_at(x)
@@ -89,9 +94,13 @@ def assemble(constraints, mapped, cfg, *, _elim=None):
     # L T_k for every k into grid[2]; the product goes through a spent slice
     LT = mapped.homogeneous_operator(x, *grid, coeffs, out=grid[2])
     LS = LT[S]
-    cols = np.take(LT, K, axis=0)
-    cols -= np.matmul(W.T, LS, out=grid[0, :len(K)])
-    return cols.T, coeffs[3] - a @ LS
+    n = len(K)
+    # row j of buf is column j of [P | lambda], which is Fortran-ordered
+    buf = np.empty((n + 1, cfg.N))
+    cols = np.take(LT, K, axis=0, out=buf[:n], mode="clip")
+    cols -= np.matmul(W.T, LS, out=grid[0, :n])
+    np.subtract(coeffs[3], np.matmul(a, LS, out=buf[n]), out=buf[n])
+    return cols.T, buf[n]
 
 
 def _require_finite(name, a):
@@ -100,45 +109,71 @@ def _require_finite(name, a):
         raise ValueError(f"{name} is non-finite at row {int(np.argwhere(~ok)[0][0])}")
 
 
-def _factor(P, lam, weights, scaling):
-    """The triangle R of a QR factorization of [Ps | lw], and the scales s.
+def _one_array(P, lam):
+    """[P | lam] as a view of the one Fortran-order array whose columns they
+    are, as `assemble` and `_block_system` build them; else None.
 
-    Rows are weighted by sqrt(weights); with column_norm scaling each column
-    of P is divided by its (weighted) 2-norm, zero columns left as they are.
-    [Ps | lw] is never formed whole: each block of _QR_BLOCK_ROWS rows is
-    weighted and scaled into one reused Fortran-order buffer and factored,
-    then the blocks' triangles stacked (the tall-skinny QR); a system of one
-    block is factored as a whole. The norms square eight columns at a time
-    into a Fortran-order scratch, so each column keeps the pairwise sum
-    np.linalg.norm gives a Fortran-order array. Without weights P is squared
-    into it directly; a scale of 1.0 is applied too: it changes no bit.
+    The view is their base reshaped. One made by np.lib.stride_tricks.as_strided
+    from P would do too, but in a long loop of m_sweep calls it once grew a
+    long-lived malloc chunk by half a megabyte, which peak RSS kept.
+    """
+    rows, n = P.shape
+    base = lam.base
+    if not (isinstance(base, np.ndarray) and P.base is base and base.dtype == P.dtype
+            and base.size == rows * (n + 1) and base.flags.c_contiguous):
+        return None
+    A = base.reshape(n + 1, rows).T
+    at = base.ctypes.data
+    if P.strides == A.strides and lam.strides == A.strides[:1] and P.ctypes.data == at \
+            and lam.ctypes.data == at + n * A.strides[1]:
+        return A
+    return None
+
+
+def _factor(P, lam, weights, scaling):
+    """The triangle R of a QR factorization of [P | lw], its first n columns
+    divided by the scales s, and s.
+
+    Rows are weighted by sqrt(weights). [P | lw] is factored a block of
+    _QR_BLOCK_ROWS rows at a time, then the blocks' triangles stacked and
+    factored again (the tall-skinny QR); a system of one block is factored
+    as a whole. When P and lambda are the columns of one Fortran-order
+    array (`_one_array`) and there are no weights, the blocks are views of
+    that array; otherwise each is weighted into one reused Fortran-order
+    buffer.
+
+    Householder QR's backward error is column-wise (Higham 2002, section
+    19.3), so dividing R's columns by s gives the triangle of the
+    column-scaled system as accurately as scaling P's columns first would,
+    without a pass over P. s_j is the 2-norm of R's column j, which is the
+    (weighted) norm of P's; a zero column keeps s_j = 1.
     """
     _require_finite("P", P)
     _require_finite("lam", lam)
     rows, n = P.shape
     if weights is not None:
         _require_finite("weights", weights)
-    sw = np.broadcast_to(1.0, (rows, 1)) if weights is None else np.sqrt(weights)[:, None]
-    s = np.ones(n)
-    if scaling == "column_norm":
-        sq = np.empty((rows, min(n, 8)), order="F")
-        for j in range(0, n, 8):
-            c = min(8, n - j)
-            Pj = P[:, j:j + c]
-            np.square(Pj if weights is None else np.multiply(Pj, sw, out=sq[:, :c]), out=sq[:, :c])
-            np.sqrt(np.add.reduce(sq[:, :c], axis=0), out=s[j:j + c])
-        s[s == 0.0] = 1.0
-        del sq  # freed before the block buffer is made
-    buf = np.empty((min(max(rows, 1), _QR_BLOCK_ROWS), n + 1), order="F")
+    view = None if weights is not None else _one_array(P, lam)
+    if view is None:
+        sw = np.broadcast_to(1.0, (rows, 1)) if weights is None else np.sqrt(weights)[:, None]
+        buf = np.empty((min(max(rows, 1), _QR_BLOCK_ROWS), n + 1), order="F")
     Rs = []
     for i in range(0, max(rows, 1), _QR_BLOCK_ROWS):
-        A = buf[:min(rows - i, _QR_BLOCK_ROWS)]
-        block = slice(i, i + len(A))
-        np.multiply(P[block], sw[block], out=A[:, :n])
-        np.multiply(lam[block], sw[block, 0], out=A[:, n])
-        A[:, :n] /= s
+        block = slice(i, min(rows, i + _QR_BLOCK_ROWS))
+        if view is not None:
+            A = view[block]
+        else:
+            A = buf[:block.stop - i]
+            np.multiply(P[block], sw[block], out=A[:, :n])
+            np.multiply(lam[block], sw[block, 0], out=A[:, n])
         Rs.append(np.linalg.qr(A, mode="r"))
-    return (Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")), s
+    R = Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
+    if scaling != "column_norm":
+        return R, np.ones(n)
+    s = np.linalg.norm(R[:, :n], axis=0)
+    s[s == 0.0] = 1.0
+    R[:, :n] /= s
+    return R, s
 
 
 def _xi_from_r(R, rows, n, s, cut=False):
@@ -146,8 +181,9 @@ def _xi_from_r(R, rows, n, s, cut=False):
     cond(P^T P), the rank-deficiency flag and whether the full SVD was taken,
     which the caller passes back as cut for more leading columns.
 
-    R is the triangle of the QR factorization of [Ps | lw], whose first n
-    columns are P weighted and divided by the scales s[:n]. R is upper
+    R is the triangle of a QR factorization of [Ps | lw], whose first n
+    columns are P weighted and divided by the scales s[:n] (`_factor`
+    divides the triangle's columns, which is the same). R is upper
     triangular, so [Ps | lw] = QR gives Ps = Q[:, :n] R[:n, :n]: T = R[:n, :n]
     is the triangle of those n columns, R[:n, -1] is Q^T lw for them, and the
     singular values of T are those of the scaled P. A square T whose singular
@@ -198,9 +234,10 @@ def solve_ls(P, lam, weights=None, scaling="column_norm"):
     """Scaled least-squares solve with residual and conditioning diagnostics.
 
     Rows are weighted by sqrt(weights), one weight per row; scaling is
-    "column_norm" or "none". One QR of the scaled [P | lambda], over blocks
-    of rows, then xi from the small triangle (`_xi_from_r`); raises
-    ValueError on a non-finite P, lambda or weight.
+    "column_norm" or "none". One QR of the weighted [P | lambda], over
+    blocks of rows, whose triangle is then column-scaled, then xi from the
+    small triangle (`_xi_from_r`); raises ValueError on a non-finite P,
+    lambda or weight.
     """
     P = np.asarray(P, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -260,11 +297,13 @@ def _make_solution(elim, mapped, m, xi):
     c[K] = xi
     c[S] = a - W @ xi
 
+    dc = derivative_series(c)
+    series = np.stack([c, dc, derivative_series(dc)])
+
     def solution(t):
         """(y, ydot, yddot) in the t-domain at times t within [t1, t2]."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        x = _clip_to_interval(mapped.map.to_x(t))
-        y, yp, ypp = (c @ g for g in eval_basis_grid(m, 2, x))
+        y, yp, ypp = clenshaw(series, _clip_to_interval(mapped.map.to_x(t)))
         return y, mapped.map.dydx_to_dydt(yp, out=yp), mapped.map.d2ydx2_to_d2ydt2(ypp, out=ypp)
 
     return solution

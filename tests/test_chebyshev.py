@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfc_solve import DomainError, endpoint_values, eval_basis, eval_basis_grid
-from tfc_solve.chebyshev import derivative_series, endpoint_rows
+from tfc_solve.chebyshev import clenshaw, derivative_series, endpoint_rows
+
+EPS = np.finfo(float).eps
 
 
 def test_base_cases():
@@ -181,3 +185,24 @@ def test_derivative_series():
         assert np.allclose(b[:-1], np.polynomial.chebyshev.chebder(c), rtol=1e-14, atol=1e-14)
         assert np.allclose(b @ eval_basis_grid(m, 0, x)[0], c @ eval_basis_grid(m, 1, x)[1],
                            rtol=1e-13, atol=1e-13 * m * m)
+
+
+# Coefficients decaying at up to e^-1.5 per degree, over ten decades of scale.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(m=st.sampled_from([2, 3, 17, 30]), decay=st.floats(0.0, 1.5),
+       decades=st.floats(-5.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_clenshaw_matches_the_basis_grid(m, decay, decades, seed):
+    # rows c, c' and c'' summed by Clenshaw against c times the grid's T_k,
+    # T_k' and T_k''. Each sum's rounding error is under a small multiple of
+    # m eps sum_k |c_k| T_k^(d)(1), since |T_k^(d)| <= T_k^(d)(1) on [-1, 1]
+    # (a scan of 12000 draws like these reached 1.26 of it at d = 0, 0.63 at
+    # d = 1 and 0.59 at d = 2)
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(m + 1) * np.exp(-decay * np.arange(m + 1)) * 10.0**decades
+    x = np.r_[-1.0, 0.0, 1.0, rng.uniform(-1.0, 1.0, 20)]
+    dc = derivative_series(c)
+    got = clenshaw(np.stack([c, dc, derivative_series(dc)]), x)
+    ref = c @ eval_basis_grid(m, 2, x)
+    assert got.shape == ref.shape == (3, len(x))
+    bound = 4.0 * m * EPS * (np.abs(c) @ endpoint_rows(m, (0, 1, 2), (1.0,) * 3).T)
+    assert np.all(np.abs(got - ref) <= bound[:, None])

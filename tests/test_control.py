@@ -392,11 +392,22 @@ def test_one_basis_evaluation_per_point_set(monkeypatch):
     orders.clear()
     sol.state(np.linspace(0.0, 2.0, 7))
     sol.costate(np.linspace(0.0, 2.0, 7))
-    # plain series: x2's is the derivative of x1's
-    assert orders == [(0, 7), (0, 7)]
-    orders.clear()
+    # plain series, summed by Clenshaw's recurrence: x2's is the derivative
+    # of x1's
+    assert orders == []
     solve_state_costate(diagonal_problem(), CollocationConfig(m=10, N=50))
     assert orders == [(1, 50)]
+
+
+@pytest.mark.parametrize("problem", [lqr_problem, diagonal_problem])
+def test_block_system_and_rhs_share_one_fortran_buffer(problem):
+    # companion form (3N rows) and the general path (4N rows)
+    M, rhs, _ = assemble_state_costate(problem(), CollocationConfig(m=10, N=50))
+    rows, n = M.shape
+    assert rows in (150, 200) and rhs.shape == (rows,)
+    assert M.flags.f_contiguous and rhs.flags.c_contiguous
+    assert rhs.base is M.base is not None
+    assert rhs.ctypes.data == M.ctypes.data + n * rows * M.itemsize
 
 
 def test_callable_raising_type_error_propagates():

@@ -16,6 +16,7 @@ from tfc_solve import (
     StateCostateProblem,
     m_sweep,
     solve_ls,
+    solve_problem,
     solve_state_costate,
 )
 from tfc_solve.catalog import CATALOG
@@ -42,6 +43,16 @@ def test_solve_ls_makes_no_copy_of_the_system():
     lam = rng.standard_normal(4000)
     system = P.nbytes + lam.nbytes
     assert transient_peak(lambda: solve_ls(P, lam)) < 1.0 * system
+
+
+def test_solution_callable_builds_no_basis_grid():
+    # y, y' and y'' are summed by Clenshaw's recurrence in three (3, len(t))
+    # arrays (0.15 grids); a (3, m + 1, len(t)) basis grid took it to 1.06
+    entry = CATALOG["eq19"]
+    sol = solve_problem(entry.ode(), entry.constraint_triples(), CollocationConfig(m=23, N=1000))
+    t = np.linspace(entry.ode().t1, entry.ode().t2, 10001)
+    grid_bytes = 3 * 24 * 10001 * 8
+    assert transient_peak(lambda: sol.solution(t)) < 0.25 * grid_bytes
 
 
 def test_m_sweep_assembles_in_the_basis_grid():

@@ -613,10 +613,20 @@ def test_no_single_point_basis_evaluation(monkeypatch):
         calls.append(args)
         return original(*args)
 
+    grids = []
+
+    def grid(m_max, d_max, x):
+        grids.append(np.size(x))
+        return eval_basis_grid(m_max, d_max, x)
+
     for module in (chebyshev, solver):
         monkeypatch.setattr(module, "eval_basis", counted, raising=False)
+    monkeypatch.setattr(solver, "eval_basis_grid", grid)
     sol = solve_problem(_eq19(), CATALOG["eq19"].constraint_triples(), _cfg())
+    # the solution callable sums its series by Clenshaw's recurrence: the
+    # grid is built at the nodes only
     sol.solution(np.linspace(1.0, 4.0, 11))
+    assert grids == [1000]
     m_sweep(_eq26(), CATALOG["eq26"].constraint_triples(), range(3, 10))
     assert calls == []
 
@@ -686,7 +696,8 @@ def _bits(a):
 
 
 def _reference_factor(P, lam, weights, scaling):
-    """[Ps | lw] written whole into one Fortran-order array, then blocked QR."""
+    """[P | lw] written whole into one Fortran-order array, then blocked QR,
+    then the triangle's columns divided by their norms."""
     rows, n = P.shape
     A = np.empty((rows, n + 1), order="F")
     if weights is not None:
@@ -696,14 +707,14 @@ def _reference_factor(P, lam, weights, scaling):
     else:
         A[:, :n] = P
         A[:, n] = lam
-    if scaling == "column_norm":
-        s = np.linalg.norm(A[:, :n], axis=0)
-        s[s == 0.0] = 1.0
-        A[:, :n] /= s
-    else:
-        s = np.ones(n)
     Rs = [np.linalg.qr(A[i:i + 1024], mode="r") for i in range(0, max(rows, 1), 1024)]
-    return (Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")), s
+    R = Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
+    s = np.ones(n)
+    if scaling == "column_norm":
+        s = np.sqrt(np.sum(R[:, :n] ** 2, axis=0))
+        s[s == 0.0] = 1.0
+        R[:, :n] = R[:, :n] / s
+    return R, s
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -722,6 +733,50 @@ def test_factor_bit_identical_to_whole_array_form(rows, scaling, weighted, order
     R_ref, s_ref = _reference_factor(P, lam, weights, scaling)
     assert _bits(s) == _bits(s_ref)
     assert _bits(R) == _bits(R_ref)
+
+
+@pytest.mark.parametrize("scaling", ["column_norm", "none"])
+@pytest.mark.parametrize("rows", [5, 1000, 1024, 1025, 4000])
+def test_factor_of_one_buffer_matches_the_copy_path(rows, scaling, monkeypatch):
+    # [P | lambda] as one Fortran-order buffer is factored in row-block views
+    # of it; the same values in separate arrays are copied a block at a time
+    # into the factor's own buffer. Both give the same bits.
+    rng = np.random.default_rng(rows)
+    buf = np.empty((20, rows))
+    buf[:] = rng.standard_normal((20, rows)) * np.logspace(-6, 6, 20)[:, None]
+    P, lam = buf[:19].T, buf[19]
+    blocks = []
+    original = np.linalg.qr
+
+    def recorded(a, mode="reduced"):
+        blocks.append(np.shares_memory(a, buf))
+        return original(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    R, s = _factor(P, lam, None, scaling)
+    n_blocks = -(-rows // 1024)
+    assert blocks[:n_blocks] == [True] * n_blocks
+    blocks.clear()
+    R_copy, s_copy = _factor(np.array(P, order="F"), lam.copy(), None, scaling)
+    assert not any(blocks)
+    assert _bits(s) == _bits(s_copy)
+    assert _bits(R) == _bits(R_copy)
+
+
+def _one_fortran_buffer(P, lam):
+    """P is Fortran-ordered and lam is the column after its last, in one array."""
+    rows, n = P.shape
+    return (P.flags.f_contiguous and lam.flags.c_contiguous and lam.base is P.base is not None
+            and lam.ctypes.data == P.ctypes.data + n * rows * P.itemsize)
+
+
+@pytest.mark.parametrize("case_id", ["IVP_y_dy", "BVP_ddy_ddy"])
+def test_assemble_returns_one_fortran_buffer(case_id):
+    mapped = map_ode(_eq19())
+    expr = fixed_case_expression(case_id, [1.0, 2.0])
+    P, lam = assemble(expr.constraints, mapped, _cfg())
+    assert P.shape == (1000, 16) and lam.shape == (1000,)
+    assert _one_fortran_buffer(P, lam)
 
 
 def _reference_assemble(constraints, mapped, cfg):

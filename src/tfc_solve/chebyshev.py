@@ -75,11 +75,13 @@ def eval_basis_grid(m_max, d_max, x):
     term = np.empty((d_max, n))
     # Every order d at once, rounded as (2d T_k^(d-1) + 2x T_k^(d)) - T_{k-1}^(d);
     # IEEE addition commutes, so adding the 2d term second keeps every bit.
+    # Values alone (d_max = 0) have no 2d term.
     for k in range(1, m_max):
         nxt = out[:, k + 1]
         np.multiply(x2, out[:, k], out=nxt)
-        np.multiply(d2, out[:-1, k], out=term)
-        nxt[1:] += term
+        if d_max:
+            np.multiply(d2, out[:-1, k], out=term)
+            nxt[1:] += term
         nxt -= out[:, k - 1]
     return out
 
@@ -88,10 +90,12 @@ def derivative_series(c):
     """Coefficients of d/dx sum_k c_k T_k, as many as c's (the last is 0).
 
     From the top down, b_{k-1} = b_{k+1} + 2 k c_k, then b_0 is halved
-    (Mason & Handscomb, Chebyshev Polynomials, 2003, section 2.4.5).
+    (Mason & Handscomb, Chebyshev Polynomials, 2003, section 2.4.5). The
+    degree runs along c's first axis; each series along the others (the
+    columns of an (m + 1, r) c) gets the bits of its own call.
     """
     n = len(c)
-    b = np.zeros(n + 1)
+    b = np.zeros((n + 1,) + np.shape(c)[1:])
     for k in range(n - 1, 0, -1):
         b[k - 1] = b[k + 1] + 2.0 * k * c[k]
     b[0] /= 2.0

@@ -22,8 +22,13 @@ embedding is used is read off A at the nodes:
   its end), and all four equations are collocated: 4N x 4m.
 
 Each costate component carries its terminal value (S = {0} at x = +1) in
-both. The solution is one Chebyshev series per component of z; `state`
-and `costate` sum them by Clenshaw's recurrence (`chebyshev.clenshaw`).
+both. The basis is evaluated once, as a table of the values T_0..T_m at the
+nodes: a t-derivative of a series is a map on its coefficients
+(`chebyshev.derivative_series`, times 2 / (tf - t0) per order), so each
+block's basis functions and their derivatives at the nodes are one batched
+product with that table. The solution is one Chebyshev series per component
+of z; `state` and `costate` sum them by Clenshaw's recurrence
+(`chebyshev.clenshaw`).
 """
 
 from dataclasses import dataclass
@@ -68,17 +73,6 @@ class StateCostateProblem:
 def _x_at(dmap, t):
     """The mapped points x of times t in [t0, tf], as a 1-d array."""
     return _clip_to_interval(dmap.to_x(np.atleast_1d(np.asarray(t, dtype=float))))
-
-
-def _basis_in_t(dmap, m, t, d_max=2):
-    """h, hdot, hddot rows (t-derivatives) at times t in [t0, tf] up to order
-    d_max; (d_max + 1, m + 1, len(t))."""
-    grid = eval_basis_grid(m, d_max, _x_at(dmap, t))
-    if d_max >= 1:
-        dmap.dydx_to_dydt(grid[1], out=grid[1])
-    if d_max >= 2:
-        dmap.d2ydx2_to_d2ydt2(grid[2], out=grid[2])
-    return grid
 
 
 @dataclass
@@ -182,18 +176,23 @@ def _block_system(dmap, tnodes, A, m, blocks, rows):
     """M xi = rhs: z_r' - (A z)_r = 0 for r in rows at every node.
 
     A block's series is phi xi + p; each of its feeds (c, d) makes z_c that
-    series' d-th t-derivative. Rows are equation-major: equation rows[i] at
-    node j is row i N + j. Columns are the blocks' xi in order. M and rhs
-    are the columns of one Fortran-order [M | rhs] array, whose row blocks
-    the kernel factors as they stand, and are filled in place: an entry of
-    M is sum_c (-A[r, c]) z_c over the block's feeds, c ascending, plus z_r'
-    where the block feeds r. Also returns the map from a solution xi to the
-    (4, m + 1) coefficients of z.
+    series' d-th t-derivative. With Q the block's map from (xi, 1) to
+    coefficients (`embedding._coefficient_map`), D the derivative map on
+    coefficients and s = 2 / dt, the d-th t-derivatives of [phi | p] at the
+    nodes are (s^d D^d Q)^T T, T the (m + 1, N) value table: one batched
+    matmul per block for every order it needs. Rows are equation-major:
+    equation rows[i] at node j is row i N + j. Columns are the blocks' xi
+    in order. M and rhs are the columns of one Fortran-order [M | rhs]
+    array, whose row blocks the kernel factors as they stand, and are
+    filled in place: an entry of M is sum_c (-A[r, c]) z_c over the block's
+    feeds, c ascending, plus z_r' where the block feeds r. Also returns the
+    map from a solution xi to the (4, m + 1) coefficients of z.
     """
     n = len(tnodes)
-    G = _basis_in_t(dmap, m, tnodes, 1 + max(d for _, f in blocks for _, d in f))
+    T = eval_basis_grid(m, 0, _x_at(dmap, tnodes))[0]
     Qs = [_coefficient_map(_eliminate(constraints, m), m) for constraints, _ in blocks]
     widths = [Q.shape[1] - 1 for Q in Qs]
+    s = 2.0 / dmap.delta_t
     negA = -A
     buf = np.empty((sum(widths) + 1, len(rows), n))  # the last slice is rhs
     scratch = np.empty((max(widths), n))
@@ -201,7 +200,12 @@ def _block_system(dmap, tnodes, A, m, blocks, rows):
     dz = np.empty((4, n))
     col = 0
     for (_, feeds), Q, w in zip(blocks, Qs, widths):
-        F = np.matmul(Q.T, G[:2 + max(d for _, d in feeds)])
+        # the columns' t-derivatives, up to one past the feeds' highest
+        # order, as series: s^d D^d Q with s = 2 / dt
+        DQ = [Q]
+        for _ in range(1 + max(d for _, d in feeds)):
+            DQ.append(derivative_series(DQ[-1]))
+        F = np.matmul(np.stack([q * s ** d for d, q in enumerate(DQ)]).transpose(0, 2, 1), T)
         phi, p = F[:, :w], F[:, w]
         for i, r in enumerate(rows):
             o = buf[col:col + w, i]
@@ -216,6 +220,7 @@ def _block_system(dmap, tnodes, A, m, blocks, rows):
         for c, d in feeds:
             z[c], dz[c] = p[d], p[d + 1]
         col += w
+        del F, phi, p  # before the next block's products are made
     rows = list(rows)
     rhs = np.negative(dz[rows], out=buf[-1])
     for c in range(4):

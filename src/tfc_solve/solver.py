@@ -16,12 +16,15 @@ Clenshaw's recurrence.
 the state/costate block solver: a QR of the row-weighted [P | lambda], taken
 as the Householder QR of each block of rows followed by one QR of their
 stacked triangles, then the column scaling applied to the small triangle R.
-xi comes from the scaled triangle (`_xi_from_r`): its singular
-values give cond(P^T P), then a solve on R, or a full SVD of R where lstsq's
-cut-off drops a value. The residual statistics (`_residual_statistics`)
-come from one product for any number of solutions. `m_sweep` assembles and
-factors once; each m reads a leading block of R, which any QR's triangle
-provides, in ascending m.
+xi comes from the scaled triangle: its singular values give cond(P^T P)
+(`_singular_values`), then a solve on R (`_xi_from_r`), or a full SVD of R
+where lstsq's cut-off drops a value. The residual statistics
+(`_residual_statistics`) come from one product for any number of solutions.
+`m_sweep` assembles and factors once; each m reads a leading block of R,
+which any QR's triangle provides, in ascending m. The rows before the first
+one whose cut-off drops a value read xi off one inverse of their largest
+triangle (`_leading_xi`), since a leading block of a triangle's inverse is
+the inverse of its leading block.
 
 No temporary of the system's size is made besides the system matrix and one
 scratch; products go into existing arrays (`out=`) and keep their bits.
@@ -176,10 +179,10 @@ def _factor(P, lam, weights, scaling):
     return R, s
 
 
-def _xi_from_r(R, rows, n, s, cut=False):
-    """xi on the leading n columns of a factored system of rows rows, with
-    cond(P^T P), the rank-deficiency flag and whether the full SVD was taken,
-    which the caller passes back as cut for more leading columns.
+def _singular_values(R, rows, n, s, cut=False):
+    """The full-SVD xi on the leading n columns of a factored system of rows
+    rows where lstsq's cut-off drops a singular value, else None; and
+    cond(P^T P) and the rank-deficiency flag.
 
     R is the triangle of a QR factorization of [Ps | lw], whose first n
     columns are P weighted and divided by the scales s[:n] (`_factor`
@@ -187,15 +190,18 @@ def _xi_from_r(R, rows, n, s, cut=False):
     triangular, so [Ps | lw] = QR gives Ps = Q[:, :n] R[:n, :n]: T = R[:n, :n]
     is the triangle of those n columns, R[:n, -1] is Q^T lw for them, and the
     singular values of T are those of the scaled P. A square T whose singular
-    values all pass the cut-off gives xi by a solve on T, the QR least-squares
-    solution (Bjorck 1996). Otherwise xi is the minimum-norm solution from a
-    full SVD of T, keeping the values above the cut-off. A T with fewer rows
-    than n takes the full SVD at once, and so does cut=True: singular values
-    of leading columns interlace (Golub & Van Loan, section 8.6), so a cut-off
-    that drops a value on fewer leading columns drops one on more.
+    values all pass the cut-off needs only those values, and its xi is the
+    caller's (a solve in `_xi_from_r`, one inverse for a sweep in
+    `_leading_xi`). Otherwise xi is the minimum-norm solution from a full SVD
+    of T, keeping the values above the cut-off, divided by s[:n]. A T with
+    fewer rows than n takes the full SVD at once, and so does cut=True:
+    singular values of leading columns interlace (Golub & Van Loan, section
+    8.6), so a cut-off that drops a value on fewer leading columns drops one
+    on more.
     """
     T, b = R[:n, :n], R[:n, -1]
     eps_rows = np.finfo(float).eps * max(rows, n)
+    z = None
     cut = cut or len(T) < n
     if not cut:
         sv = np.linalg.svd(T, compute_uv=False)
@@ -203,12 +209,38 @@ def _xi_from_r(R, rows, n, s, cut=False):
     if cut:
         U, sv, Vt = np.linalg.svd(T, full_matrices=False)
         keep = sv > eps_rows * sv[0]
-        z = Vt[keep].T @ ((U[:, keep].T @ b) / sv[keep])
-    else:
-        z = np.linalg.solve(T, b)
+        z = Vt[keep].T @ ((U[:, keep].T @ b) / sv[keep]) / s[:n]
     smax, smin = sv[0], sv[-1]
     cond = np.inf if smin == 0.0 else (smax / smin) ** 2
-    return z / s[:n], float(cond), bool(smin < RANK_DEFICIENT_TOL * smax), cut
+    return z, float(cond), bool(smin < RANK_DEFICIENT_TOL * smax)
+
+
+def _xi_from_r(R, rows, n, s):
+    """xi on the leading n columns of a factored system, cond(P^T P) and the
+    rank-deficiency flag: the full-SVD xi of `_singular_values` where the
+    cut-off drops a value, else a solve on T = R[:n, :n], the QR
+    least-squares solution (Bjorck 1996)."""
+    z, cond, rank_deficient = _singular_values(R, rows, n, s)
+    if z is None:
+        z = np.linalg.solve(R[:n, :n], R[:n, -1]) / s[:n]
+    return z, cond, rank_deficient
+
+
+def _leading_xi(R, n, s):
+    """xi on the leading k columns for every k = 1..n at once: column k - 1
+    holds it in its first k entries.
+
+    The leading block of a triangle's inverse is the inverse of its leading
+    block (Higham 2002, chapter 14), so with R_inv = R[:n, :n]^-1 the solve
+    on T_k = R[:k, :k] is T_k^-1 R[:k, -1] = sum_{j < k} R_inv[:k, j]
+    R[j, -1], which the cumulative sum along the rows of R_inv R[:n, -1]
+    gives for every k; R_inv is upper triangular, so its entries below
+    row k add nothing to column k - 1. Rows divide by s[:n] as in
+    `_xi_from_r`.
+    """
+    Z = np.cumsum(np.linalg.inv(R[:n, :n]) * R[:n, -1], axis=1)
+    Z /= s[:n, None]
+    return Z
 
 
 def _residual_statistics(P, Xi, lam, scratch):
@@ -242,7 +274,7 @@ def solve_ls(P, lam, weights=None, scaling="column_norm"):
     P = np.asarray(P, dtype=float)
     lam = np.asarray(lam, dtype=float)
     R, s = _factor(P, lam, weights, scaling)
-    xi, cond, rank_deficient, _ = _xi_from_r(R, *P.shape, s)
+    xi, cond, rank_deficient = _xi_from_r(R, *P.shape, s)
     r, mean, abs_mean, std = _residual_statistics(P, xi[:, None], lam, np.empty((len(P), 1)))
     return LSSolution(
         xi=xi,
@@ -320,8 +352,11 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
     The pivots S are the same for every m >= max S, so the kept columns of a
     smaller m lead those of a larger one: the system is assembled and factored
     once at the largest valid m, and each m reads the leading (m - 1) x (m - 1)
-    block of R. An m below max S gets an error row. The residuals of every
-    row come from one product P Xi - lambda.
+    block T of R. An m below max S gets an error row. Each row takes T's
+    singular values, in ascending m; the rows before the first one whose
+    cut-off drops a value get xi from one inverse (`_leading_xi`), and that
+    row and every larger one from a full SVD of T (`_singular_values`). The
+    residuals of every row come from one product P Xi - lambda.
     """
     ms = [int(m) for m in m_range]
     cfgs, errors = {}, {}
@@ -348,17 +383,20 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
         try:
             if m < elim[0][-1]:
                 _eliminate(constraints, m)  # raises: T_0..T_m hold too few pivots
-            solved[m] = _xi_from_r(R, len(P), m - 1, s, cut)
-            cut = solved[m][3]
+            solved[m] = _singular_values(R, len(P), m - 1, s, cut)
+            cut = solved[m][0] is not None
         except _ROW_ERRORS as exc:
             errors[m] = str(exc)
+    # the rows before the first cut one read xi off one inverse
+    uncut = [m for m, (xi, *_) in solved.items() if xi is None]
+    Z = _leading_xi(R, uncut[-1] - 1, s) if uncut else None
     if solved:
         Xi = np.zeros((max(solved) - 1, len(solved)))
-        for j, (xi, *_) in enumerate(solved.values()):
-            Xi[:len(xi), j] = xi
+        for j, (m, (xi, *_)) in enumerate(solved.items()):
+            Xi[:m - 1, j] = Z[:m - 1, m - 2] if xi is None else xi
         # P is spent once the product is formed: its columns take the deviations
         _, *stats = _residual_statistics(P, Xi, lam, P)
-        for j, (m, (_, cond, rank_deficient, _)) in enumerate(solved.items()):
+        for j, (m, (_, cond, rank_deficient)) in enumerate(solved.items()):
             solved[m] = diagnostics.SweepRow(m, *(float(a[j]) for a in stats),
                                              cond, rank_deficient)
 

@@ -187,6 +187,31 @@ def test_derivative_series():
                            rtol=1e-13, atol=1e-13 * m * m)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 30])
+def test_values_alone_are_the_grids_row_zero(m):
+    # the values-only recurrence skips the derivative terms and keeps every
+    # bit of row 0, the sign of zeros included
+    x = np.r_[-1.0, -0.0, 0.0, 1.0, np.random.default_rng(m).uniform(-1.0, 1.0, 40)]
+    values = eval_basis_grid(m, 0, x)
+    assert values.shape == (1, m + 1, len(x))
+    assert values.tobytes() == eval_basis_grid(m, 2, x)[0].tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 17, 30])
+def test_derivative_series_of_stacked_columns(m):
+    # each column of an (m + 1, r) array gets the bits of its own call,
+    # zero columns and a -0.0 included
+    C = np.random.default_rng(m).standard_normal((m + 1, 5))
+    C[:, 1] = 0.0
+    C[:, 3] = -0.0
+    got = derivative_series(C)
+    assert got.shape == C.shape
+    ref = np.column_stack([derivative_series(C[:, j]) for j in range(C.shape[1])])
+    assert got.tobytes() == ref.tobytes()
+    stacked = derivative_series(C[:, :, None])
+    assert stacked.shape == (m + 1, 5, 1) and stacked.tobytes() == ref.tobytes()
+
+
 # Coefficients decaying at up to e^-1.5 per degree, over ten decades of scale.
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(m=st.sampled_from([2, 3, 17, 30]), decay=st.floats(0.0, 1.5),

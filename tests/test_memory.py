@@ -12,7 +12,6 @@ import numpy as np
 
 from tfc_solve import (
     CollocationConfig,
-    DomainMap,
     StateCostateProblem,
     m_sweep,
     solve_ls,
@@ -20,7 +19,6 @@ from tfc_solve import (
     solve_state_costate,
 )
 from tfc_solve.catalog import CATALOG
-from tfc_solve.control import _basis_in_t
 
 
 def transient_peak(call):
@@ -66,26 +64,33 @@ def test_m_sweep_assembles_in_the_basis_grid():
     assert peak < 6.0 * system
 
 
-def test_state_costate_builds_the_block_system_in_place():
-    # M itself (one system) is made by the call; the assembly's stacks and
-    # the factor's row blocks add well under one more. The problem is the
-    # double integrator with quadratic state and control costs.
-    problem = StateCostateProblem(
+def double_integrator():
+    # the double integrator with quadratic state and control costs, in
+    # companion form: a 3N x (3m - 1) system
+    return StateCostateProblem(
         A11=lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]),
         A12=lambda t: np.array([[0.0, 0.0], [0.0, -1.0]]),
         A21=lambda t: np.array([[-1.0, 0.0], [0.0, 0.0]]),
         A22=lambda t: np.array([[0.0, 0.0], [-1.0, 0.0]]),
         x0=[1.0, 0.0], lambda_f=[0.0, 0.0], t0=0.0, tf=2.0)
+
+
+def test_state_costate_builds_the_block_system_in_place():
+    # M itself (one system) is made by the call; the assembly's stacks and
+    # the factor's row blocks add well under one more
     cfg = CollocationConfig(m=20, N=1000)
     system = 4 * cfg.N * 3 * cfg.m * 8 + 4 * cfg.N * 8  # M and its right-hand side
-    peak = transient_peak(lambda: solve_state_costate(problem, cfg))
+    peak = transient_peak(lambda: solve_state_costate(double_integrator(), cfg))
     assert peak < 2.2 * system
 
 
-def test_basis_in_t_scales_the_derivative_rows_in_place():
-    # the 2/dt and 4/dt^2 factors go into the grid itself (1.07 grids); a
-    # converted copy of a derivative table took the peak to 1.68 grids
-    dmap = DomainMap(0.0, 2.0)
-    t = np.linspace(0.0, 2.0, 1002)
-    grid_bytes = 3 * 21 * 1002 * 8
-    assert transient_peak(lambda: _basis_in_t(dmap, 20, t)) < 1.2 * grid_bytes
+def test_state_costate_assembles_from_one_value_table():
+    # in units of the 3N x (3m - 1) system and its right-hand side: M (1.0),
+    # A and -A (0.18), the value table T_0..T_m (0.12) and one block's
+    # t-derivative products (0.33) give a peak of 1.90; a t-scaled
+    # (3, m + 1, N) derivative grid, with a block's products made while the
+    # last block's were alive, took it to 2.27
+    cfg = CollocationConfig(m=20, N=1000)
+    system = 3 * cfg.N * (3 * cfg.m - 1) * 8 + 3 * cfg.N * 8
+    peak = transient_peak(lambda: solve_state_costate(double_integrator(), cfg))
+    assert peak < 2.05 * system

@@ -654,25 +654,33 @@ def test_full_svd_only_where_the_cut_off_drops_a_value(monkeypatch):
     # the singular values alone give cond(PtP); a full SVD runs once on each
     # eq28 row whose triangle has a value under lstsq's cut-off, m = 25..30
     # (7 times under it and more; m = 24 is 8 times over), and only m = 25,
-    # the first, takes the singular values too
+    # the first, takes the singular values too. The rows before the first
+    # cut one read xi off one inverse, of the triangle of their largest m
+    # (eq26: m = 23, its last; eq28: m = 24), and no sweep row makes a solve;
+    # solve_problem makes exactly one
     calls = []
-    original = np.linalg.svd
+    original = {name: getattr(np.linalg, name) for name in ("svd", "solve", "inv")}
 
-    def counted(a, *args, **kwargs):
-        calls.append((kwargs.get("compute_uv", True), a.shape[1] + 1))
-        return original(a, *args, **kwargs)
+    def counted(name):
+        def call(a, *args, **kwargs):
+            calls.append((name, kwargs.get("compute_uv", True), a.shape[1] + 1))
+            return original[name](a, *args, **kwargs)
+        return call
 
     def sweep_calls(pid):
         calls.clear()
         entry = CATALOG[pid]
         m_sweep(entry.ode(), entry.constraint_triples(), range(entry.sweep[0], entry.sweep[1] + 1))
-        return [m for full, m in calls if full], [m for full, m in calls if not full]
+        return ([m for name, full, m in calls if name == "svd" and full],
+                [m for name, full, m in calls if name == "svd" and not full],
+                [(name, m) for name, _, m in calls if name != "svd"])
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    for name in original:
+        monkeypatch.setattr(np.linalg, name, counted(name))
     solve_problem(_eq19(), CATALOG["eq19"].constraint_triples(), _cfg())
-    assert calls == [(False, 17)]
-    assert sweep_calls("eq26") == ([], list(range(3, 24)))
-    assert sweep_calls("eq28") == (list(range(25, 31)), list(range(3, 26)))
+    assert calls == [("svd", False, 17), ("solve", True, 17)]
+    assert sweep_calls("eq26") == ([], list(range(3, 24)), [("inv", 23)])
+    assert sweep_calls("eq28") == (list(range(25, 31)), list(range(3, 26)), [("inv", 24)])
 
 
 def test_constraint_rows_need_an_interval_end():

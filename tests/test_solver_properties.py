@@ -17,7 +17,9 @@ from tfc_solve.solver import (
     RANK_DEFICIENT_TOL,
     _expression,
     _factor,
+    _leading_xi,
     _make_solution,
+    _singular_values,
 )
 
 EPS = np.finfo(float).eps
@@ -108,6 +110,26 @@ def test_constraints_hold_for_any_xi(pair, pid, m, values, seed):
         assert abs(solution(at)[d][0] - v) <= 1e-9 * max(1.0, abs(v)), (d, at, v)
 
 
+def _lstsq_bound(Ps, lam):
+    """lstsq's xi on Ps, and eps kappa / gap (||xi|| + kappa ||r|| / sigma_1),
+    the first-order size of a backward-stable solver's error against it; or
+    None when a singular value sits within 0.1 decade of the cut-off, where
+    roundoff can tip it either side."""
+    rows, n = Ps.shape
+    ref_sv = np.linalg.svd(Ps, compute_uv=False)
+    cutoff = EPS * max(rows, n) * ref_sv[0]
+    if not np.all(np.abs(np.log10(ref_sv / cutoff)) > 0.1):
+        return None
+    z_ref, *_ = np.linalg.lstsq(Ps, lam, rcond=None)
+    kept, dropped = ref_sv[ref_sv > cutoff], ref_sv[ref_sv <= cutoff]
+    kappa = kept[0] / kept[-1]
+    # a dropped value rotates the kept subspace by eps over the relative gap
+    gap = 1.0 - dropped[0] / kept[-1] if len(dropped) else 1.0
+    r_ref = np.linalg.norm(Ps @ z_ref - lam)
+    unit = EPS * kappa / gap * (np.linalg.norm(z_ref) + kappa * r_ref / kept[0])
+    return z_ref, unit, ref_sv, len(kept) == n
+
+
 # Singular values of the scaled P from 1 down to 1e-15, straddling lstsq's
 # cut-off eps * max(rows, n) * sigma_max; optionally one column duplicated;
 # rows from 1, fewer than the columns included.
@@ -136,26 +158,39 @@ def test_kernel_matches_full_svd_and_lstsq(rows, n, decades, duplicate, scaling,
     assert sol.cond_PtP == pytest.approx(cond, rel=1e-9)
     assert sol.rank_deficient == bool(sv[-1] < RANK_DEFICIENT_TOL * sv[0])
 
-    # lstsq on the scaled P, away from the cut-off, where roundoff can tip a
-    # value either side of it
+    # the sweep's route over the leading blocks j = 1..n: singular values in
+    # ascending j up to the first block whose cut-off drops a value, and the
+    # xi of the blocks before it off one inverse. Householder QR's rounding
+    # grows as gamma_(rows j) (Higham 2002, theorem 20.3), which in its
+    # probabilistic form is sqrt(rows j) eps; the bound is 4 sqrt(rows j)
+    # units (measured: at most 0.18 of it, and 0.22 for a per-block
+    # np.linalg.solve). The flat 16 units of solve_ls's bound below is too
+    # tight for about 7 blocks a draw: on the draws of an earlier version of
+    # this test, a well-conditioned block of 52 rows and 10 columns reached
+    # 0.93 of it, by either route
     Ps = P / s
-    ref_sv = np.linalg.svd(Ps, compute_uv=False)
-    cutoff = EPS * max(rows, n) * ref_sv[0]
-    assume(np.all(np.abs(np.log10(ref_sv / cutoff)) > 0.1))
-    z_ref, *_ = np.linalg.lstsq(Ps, lam, rcond=None)
-    kept, dropped = ref_sv[ref_sv > cutoff], ref_sv[ref_sv <= cutoff]
-    kappa = kept[0] / kept[-1]
-    # a dropped value rotates the kept subspace by eps over the relative gap
-    gap = 1.0 - dropped[0] / kept[-1] if len(dropped) else 1.0
-    r_ref = np.linalg.norm(Ps @ z_ref - lam)
-    # measured: at most 0.28 of this bound over the draws
-    tol = 16.0 * EPS * kappa / gap * (np.linalg.norm(z_ref) + kappa * r_ref / kept[0])
-    assert np.linalg.norm(sol.xi * s - z_ref) <= tol
+    uncut = 0
+    while uncut < n and _singular_values(R, rows, uncut + 1, s)[0] is None:
+        uncut += 1
+    if uncut:
+        Z = _leading_xi(R, uncut, s)
+        for j in range(1, uncut + 1):
+            ref = _lstsq_bound(Ps[:, :j], lam)
+            if ref is not None:
+                bound = 4.0 * np.sqrt(rows * j) * ref[1]
+                assert np.linalg.norm(Z[:j, j - 1] * s[:j] - ref[0]) <= bound, j
 
-    if len(kept) == n:
+    # lstsq on the scaled P, away from the cut-off (measured: at most 0.42
+    # of this bound over the draws)
+    ref = _lstsq_bound(Ps, lam)
+    assume(ref is not None)
+    z_ref, unit, ref_sv, full_rank = ref
+    assert np.linalg.norm(sol.xi * s - z_ref) <= 16.0 * unit
+
+    if full_rank:
         # full rank: the residual is orthogonal to every column, up to the
         # backward error of the solve and of forming the residual (measured:
-        # at most 0.28 of the bound); eps ||P|| ||r|| alone fails by about
+        # at most 0.17 of the bound); eps ||P|| ||r|| alone fails by about
         # cond(P) on ill-conditioned draws
         norm = ref_sv[0]
         bound = 4.0 * EPS * norm * (norm * np.linalg.norm(sol.xi * s) + np.linalg.norm(lam))

@@ -9,6 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the collocation node sets of `DomainMap.nodes`
+NODE_KINDS = ("uniform", "lobatto")
+
 
 @dataclass(frozen=True)
 class DomainMap:

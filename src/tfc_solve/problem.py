@@ -49,16 +49,17 @@ class MappedODE:
             out.append(v)
         return tuple(out)
 
-    def homogeneous_operator(self, x, y, yp, ypp, coeffs=None, out=None):
+    def homogeneous_operator(self, x, y, yp, ypp, coeffs=None, out=None, scratch=None):
         """The f-free residual ((4/dt^2) f2 y'' + (2/dt) f1 y') + f0 y. With out,
-        the sum goes to out (ypp allowed) and the products of y' and y to yp
-        and y, which are overwritten: no temporary of their size is made."""
+        the sum goes to out (ypp allowed); with scratch, an array of the sum's
+        shape sharing no memory with y or y', the products of y' and y go to
+        it. Given both, no temporary of their size is made, and y and y' are
+        only read."""
         f2, f1, f0, _ = coeffs if coeffs is not None else self.coefficients_at(x)
         dt = self.map.delta_t
-        scratch = (None, None) if out is None else (yp, y)
         out = np.multiply((4.0 / dt**2) * f2, ypp, out=out)
-        out += np.multiply((2.0 / dt) * f1, yp, out=scratch[0])
-        out += np.multiply(f0, y, out=scratch[1])
+        out += np.multiply((2.0 / dt) * f1, yp, out=scratch)
+        out += np.multiply(f0, y, out=scratch)
         return out
 
 

@@ -8,9 +8,19 @@ method; Bjorck 1996, section 5.1) leaves the kept columns K free: any c_K =
 xi with c_S = a - W xi meets the constraints. Column j of the collocation
 matrix is the mapped homogeneous ODE operator L applied to T_{K_j} - T_S^T
 W_j; the right-hand side is f - L T_S^T a. P and lambda are built as the
-columns of one Fortran-order [P | lambda] array. The basis recurrence runs
-once, at the collocation nodes; the solution callable sums its series by
-Clenshaw's recurrence.
+columns of one Fortran-order [P | lambda] array. The solution callable sums
+its series by Clenshaw's recurrence, so the basis recurrence runs at the
+collocation nodes only.
+
+Every problem is mapped onto x in [-1, +1] before it is collocated, so the
+nodes x and their table of T_k, T_k' and T_k'' depend on N, the node kind and
+m alone. `_node_table` keeps them between calls, one read-only (3, m + 1, N)
+table per (N, node kind), built at the largest m asked for so far; a smaller
+m reads its leading rows [:, :m + 1], which hold the bits a table built at
+that m would, since row k of the recurrence reads only x and rows k - 1 and
+k - 2. The tables held together take at most _NODE_TABLE_BYTES; the least
+recently used goes first, and a table larger than that is built for its
+call and not kept.
 
 `solve_ls(P, lam, weights, scaling)` is the least-squares kernel shared with
 the state/costate block solver: a QR of the row-weighted [P | lambda], taken
@@ -30,6 +40,7 @@ No temporary of the system's size is made besides the system matrix and one
 scratch; products go into existing arrays (`out=`) and keep their bits.
 """
 
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,12 +50,27 @@ from . import diagnostics
 from .chebyshev import _clip_to_interval, clenshaw, derivative_series, eval_basis_grid
 from .embedding import ConstraintSpec, _eliminate, fixed_case_expression
 from .errors import TfcSolveError
+from .mapping import NODE_KINDS
 from .problem import map_ode
 
 RANK_DEFICIENT_TOL = 1e-13
 # rows per Householder QR block in _factor; a block of 1024 x 64 doubles is
 # 512 KiB, and stays in cache while it is factored
 _QR_BLOCK_ROWS = 1024
+# bytes the kept node tables hold together: the (3, 31, N) table of m = 30
+# up to N = 44620 nodes, or 44 such tables at N = 1000
+_NODE_TABLE_BYTES = 32 << 20
+# (N, node kind) -> (x, table), least recently used first; the lock makes
+# each call's look-up, eviction and insertion one step for other threads
+_node_tables = {}
+_node_lock = threading.Lock()
+
+
+def _check_kinds(scaling, nodes):
+    if scaling not in ("column_norm", "none"):
+        raise ValueError(f"unknown scaling {scaling!r}")
+    if nodes not in NODE_KINDS:
+        raise ValueError(f"unknown node kind {nodes!r}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +86,7 @@ class CollocationConfig:
             raise ValueError("m must be >= 2")
         if self.N < self.m + 1:
             raise ValueError("need N >= m + 1")
-        if self.scaling not in ("column_norm", "none"):
-            raise ValueError(f"unknown scaling {self.scaling!r}")
+        _check_kinds(self.scaling, self.nodes)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.N,) or not np.all(np.isfinite(w) & (w > 0)):
@@ -83,25 +108,58 @@ class LSSolution:
     solution: object = None
 
 
+def _node_table(dmap, N, nodes, m):
+    """The N nodes x of the kind nodes and the read-only (3, m + 1, N) table
+    of T_k, T_k' and T_k'' at them, kept between calls (see the module
+    docstring)."""
+    key = (N, nodes)
+    with _node_lock:
+        x, grid = _node_tables.pop(key, (None, None))
+        if grid is None or grid.shape[1] <= m:
+            if x is None:
+                x = dmap.nodes(N, nodes)
+                x.flags.writeable = False
+            grid = eval_basis_grid(m, 2, x)
+            grid.flags.writeable = False
+        size = x.nbytes + grid.nbytes
+        if size <= _NODE_TABLE_BYTES:
+            while size + sum(a.nbytes + b.nbytes for a, b in _node_tables.values()) \
+                    > _NODE_TABLE_BYTES:
+                del _node_tables[next(iter(_node_tables))]
+            _node_tables[key] = x, grid
+    return x, grid[:, :m + 1]
+
+
 def assemble(constraints, mapped, cfg, *, _elim=None):
     """The N x (m - 1) system P xi = lambda over the kept columns K: with L
     the mapped homogeneous operator, P = L T_K - (L T_S)^T W and lambda =
     f - (L T_S)^T a. constraints are x-domain ConstraintSpecs, and _elim is
     their `_eliminate` at cfg.m when the caller has it. P and lambda are
     views of one Fortran-order (N, m) array, lambda its last column, which
-    `_factor` takes as it stands."""
+    `_factor` takes as it stands.
+
+    The node table (`_node_table`) is only read. L T_K goes straight into
+    the column rows, a run of kept k between two pivots at a time, with one
+    (len(K), N) scratch for the products, which then takes (L T_S)^T W; L T_S
+    is formed apart. Each is the operator's own products, in its order, so
+    every bit is that of L applied to the whole table.
+    """
     S, K, W, a = _elim or _eliminate(constraints, cfg.m)
-    x = mapped.map.nodes(cfg.N, cfg.nodes)
+    x, grid = _node_table(mapped.map, cfg.N, cfg.nodes, cfg.m)
     coeffs = mapped.coefficients_at(x)
-    grid = eval_basis_grid(cfg.m, 2, x)  # (3, m+1, N)
-    # L T_k for every k into grid[2]; the product goes through a spent slice
-    LT = mapped.homogeneous_operator(x, *grid, coeffs, out=grid[2])
-    LS = LT[S]
+    LS = mapped.homogeneous_operator(x, *grid[:, S], coeffs)
     n = len(K)
     # row j of buf is column j of [P | lambda], which is Fortran-ordered
     buf = np.empty((n + 1, cfg.N))
-    cols = np.take(LT, K, axis=0, out=buf[:n], mode="clip")
-    cols -= np.matmul(W.T, LS, out=grid[0, :n])
+    scratch = np.empty((n, cfg.N))
+    # S and K ascend, so the kept k between the pivots S[i - 1] and S[i] are
+    # consecutive rows of the table, and rows k - i of buf
+    for i, (lo, hi) in enumerate(zip([-1, *S], [*S, cfg.m + 1])):
+        if hi > lo + 1:
+            mapped.homogeneous_operator(x, *grid[:, lo + 1:hi], coeffs,
+                                        out=buf[lo + 1 - i:hi - i], scratch=scratch[:hi - lo - 1])
+    cols = buf[:n]
+    cols -= np.matmul(W.T, LS, out=scratch)
     np.subtract(coeffs[3], np.matmul(a, LS, out=buf[n]), out=buf[n])
     return cols.T, buf[n]
 
@@ -356,8 +414,10 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
     singular values, in ascending m; the rows before the first one whose
     cut-off drops a value get xi from one inverse (`_leading_xi`), and that
     row and every larger one from a full SVD of T (`_singular_values`). The
-    residuals of every row come from one product P Xi - lambda.
+    residuals of every row come from one product P Xi - lambda. An unknown
+    nodes or scaling raises ValueError before any row.
     """
+    _check_kinds(scaling, nodes)
     ms = [int(m) for m in m_range]
     cfgs, errors = {}, {}
     for m in ms:

@@ -193,6 +193,24 @@ def test_control_honours_solver_weights(tmp_path):
     assert reports[0] != reports[1]
 
 
+@pytest.mark.parametrize("subcommand", ["solve", "sweep", "classify"])
+def test_unknown_scaling_or_node_kind_is_config_error(tmp_path, subcommand, capsys):
+    doc = catalog.get("eq26").to_problem_file()
+    doc["solver"] = {"scaling": "bogus"}
+    pfile = tmp_path / "bogus.json"
+    pfile.write_text(json.dumps(doc))
+    code, out = run(tmp_path, subcommand, str(pfile))
+    assert code == 3
+    assert capsys.readouterr().err == "error[config]: unknown scaling 'bogus'\n"
+    assert list(out.iterdir()) == []
+    # argparse refuses a node kind or scaling it does not list
+    for flag in ("--nodes", "--scaling"):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, subcommand, "catalog:eq26", flag, "foo")
+        assert exc.value.code == 2
+        assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
 def test_control_on_scalar_problem_is_config_error(tmp_path):
     code, _ = run(tmp_path, "control", "catalog:eq19")
     assert code == 3

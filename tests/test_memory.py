@@ -53,9 +53,21 @@ def test_solution_callable_builds_no_basis_grid():
     assert transient_peak(lambda: sol.solution(t)) < 0.25 * grid_bytes
 
 
-def test_m_sweep_assembles_in_the_basis_grid():
-    # the basis grid (three (m + 1)-row tables, 3.2 systems) and the column
-    # buffer (one system) are the only arrays of their size
+def test_warm_solve_reads_the_kept_node_table():
+    # a warm eq19 solve peaks at 2.36 systems: [P | lambda] (one system) and
+    # the assembly's scratch (0.96), with the node table kept from the first
+    # call; a (3, m + 1, N) basis grid built on every call took it to 4.44
+    entry = CATALOG["eq19"]
+    cfg = CollocationConfig(m=23, N=4000)
+    system = cfg.N * (cfg.m - 1) * 8 + cfg.N * 8  # P and lambda
+    peak = transient_peak(lambda: solve_problem(entry.ode(), entry.constraint_triples(), cfg))
+    assert peak < 3.0 * system
+
+
+def test_m_sweep_assembles_through_one_scratch():
+    # the column buffer (one system) and the assembly's scratch (0.97) are
+    # the only arrays of their size, a peak of 2.52 systems; with a
+    # (3, m + 1, N) basis grid built on every call it was 4.38
     entry = CATALOG["eq28"]
     ode, constraints = entry.ode(), entry.constraint_triples()
     m_range = range(entry.sweep[0], entry.sweep[1] + 1)

@@ -134,7 +134,7 @@ def test_implied_initial_value_argument_checks():
 
 @pytest.mark.parametrize("shape", [(301,), (18, 301)])
 def test_operator_into_a_buffer_keeps_every_bit(shape):
-    # the in-place form used on the basis grid against the allocating call
+    # the in-place form used on the node table against the allocating call
     mapped = map_ode(_eq19())
     x = np.linspace(-1.0, 1.0, 301)
     coeffs = mapped.coefficients_at(x)
@@ -147,8 +147,11 @@ def test_operator_into_a_buffer_keeps_every_bit(shape):
     dt = mapped.map.delta_t
     assert ref.tobytes() == ((4.0 / dt**2) * f2 * ypp + (2.0 / dt) * f1 * yp + f0 * y).tobytes()
     for into_ypp in (False, True):
-        args = [a.copy() for a in (y, yp, ypp)]
-        buf = args[2] if into_ypp else np.full(shape, np.nan)
-        out = mapped.homogeneous_operator(x, *args, coeffs, out=buf)
-        assert out is buf
-        assert out.tobytes() == ref.tobytes()
+        for scratch in (None, np.full(shape, np.nan)):
+            args = [a.copy() for a in (y, yp, ypp)]
+            buf = args[2] if into_ypp else np.full(shape, np.nan)
+            out = mapped.homogeneous_operator(x, *args, coeffs, out=buf, scratch=scratch)
+            assert out is buf
+            assert out.tobytes() == ref.tobytes()
+            # y and y' are only read
+            assert args[0].tobytes() == y.tobytes() and args[1].tobytes() == yp.tobytes()

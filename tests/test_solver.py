@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
+import tfc_solve.solver as solver
 from tfc_solve import (
     CollocationConfig,
     DomainError,
@@ -561,6 +565,22 @@ def test_m_sweep_invalid_configs_get_their_own_rows():
                 assert r.residual_std == pytest.approx(ref.residual_std, rel=1e-8)
 
 
+def test_unknown_node_kind_or_scaling_is_refused():
+    with pytest.raises(ValueError, match="unknown node kind 'foo'"):
+        CollocationConfig(nodes="foo")
+    with pytest.raises(ValueError, match="unknown scaling 'bogus'"):
+        CollocationConfig(scaling="bogus")
+    # a sweep refuses them before any row, rather than failing every row
+    ode, constraints = _eq26(), CATALOG["eq26"].constraint_triples()
+    for kw, message in ((dict(nodes="foo"), "unknown node kind 'foo'"),
+                        (dict(scaling="bogus"), "unknown scaling 'bogus'")):
+        with pytest.raises(ValueError, match=message):
+            m_sweep(ode, constraints, range(3, 6), **kw)
+    # an m that no config takes at this N is still a row of its own
+    report = m_sweep(ode, constraints, [1, 3, 30], N=20)
+    assert [r.error for r in report.per_m] == ["m must be >= 2", None, "need N >= m + 1"]
+
+
 def test_m_sweep_row_below_the_pivots_is_an_error():
     # y'' at both ends has pivots T_2 and T_3: m = 2 cannot meet the
     # constraints, and the larger m read the same factorization
@@ -604,7 +624,6 @@ def test_m_sweep_propagates_programming_errors():
 
 def test_no_single_point_basis_evaluation(monkeypatch):
     import tfc_solve.chebyshev as chebyshev
-    import tfc_solve.solver as solver
 
     calls = []
     original = chebyshev.eval_basis
@@ -622,12 +641,18 @@ def test_no_single_point_basis_evaluation(monkeypatch):
     for module in (chebyshev, solver):
         monkeypatch.setattr(module, "eval_basis", counted, raising=False)
     monkeypatch.setattr(solver, "eval_basis_grid", grid)
+    # an empty node-table cache, whatever ran before
+    monkeypatch.setattr(solver, "_node_tables", {})
     sol = solve_problem(_eq19(), CATALOG["eq19"].constraint_triples(), _cfg())
     # the solution callable sums its series by Clenshaw's recurrence: the
     # grid is built at the nodes only
     sol.solution(np.linspace(1.0, 4.0, 11))
     assert grids == [1000]
+    # a warm repeat, and a sweep at smaller m on the same nodes, read the
+    # kept table
+    solve_problem(_eq19(), CATALOG["eq19"].constraint_triples(), _cfg())
     m_sweep(_eq26(), CATALOG["eq26"].constraint_triples(), range(3, 10))
+    assert grids == [1000]
     assert calls == []
 
 
@@ -681,6 +706,136 @@ def test_full_svd_only_where_the_cut_off_drops_a_value(monkeypatch):
     assert calls == [("svd", False, 17), ("solve", True, 17)]
     assert sweep_calls("eq26") == ([], list(range(3, 24)), [("inv", 23)])
     assert sweep_calls("eq28") == (list(range(25, 31)), list(range(3, 26)), [("inv", 24)])
+
+
+@pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
+def test_m_sweep_cut_rows_take_the_minimum_norm_xi(nodes, monkeypatch):
+    # eq28's rows m = 25..30 drop a singular value under lstsq's cut-off, so
+    # their xi is the minimum-norm one. Measured against solve_problem's at
+    # the same m: at most 2.7e-15 relative (2-norm) on either node set; xi
+    # read off the inverse of the triangle, as for the uncut rows, is off
+    # by 8e-5 to 0.26.
+    cut, Xis = [], []
+    singular_values, residual_statistics = solver._singular_values, solver._residual_statistics
+
+    def cut_rows(R, rows, n, s, cut_=False):
+        out = singular_values(R, rows, n, s, cut_)
+        if out[0] is not None:
+            cut.append(n + 1)
+        return out
+
+    def spy(P, Xi, lam, scratch):
+        Xis.append(Xi.copy())
+        return residual_statistics(P, Xi, lam, scratch)
+
+    monkeypatch.setattr(solver, "_singular_values", cut_rows)
+    monkeypatch.setattr(solver, "_residual_statistics", spy)
+    entry = CATALOG["eq28"]
+    ode, constraints = entry.ode(), entry.constraint_triples()
+    report = m_sweep(ode, constraints, range(entry.sweep[0], entry.sweep[1] + 1), nodes=nodes)
+    assert cut == list(range(25, 31))
+    (Xi,) = Xis
+    solved = [r.m for r in report.per_m if r.error is None]
+    for j, m in enumerate(solved):
+        if m in cut:
+            ref = solve_problem(ode, constraints, _cfg(m=m, nodes=nodes)).xi
+            assert not Xi[m - 1:, j].any(), m
+            assert np.linalg.norm(Xi[:m - 1, j] - ref) <= 1e-13 * np.linalg.norm(ref), m
+
+
+def _solve_and_sweep_bits(nodes):
+    sol = solve_problem(_eq19(), CATALOG["eq19"].constraint_triples(), _cfg(nodes=nodes))
+    entry = CATALOG["eq28"]
+    report = m_sweep(entry.ode(), entry.constraint_triples(),
+                     range(entry.sweep[0], entry.sweep[1] + 1), nodes=nodes)
+    return (_bits(sol.xi), _bits(sol.residuals), _bits(sol.solution(np.linspace(1.0, 4.0, 101))),
+            [_row_bits(r) for r in report.per_m])
+
+
+@pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
+def test_node_table_keeps_every_bit(nodes, monkeypatch):
+    # a solve (m = 17) and a sweep (m = 3..30) with no table kept, each
+    # built at its own m, against the same after another problem warmed the
+    # cache at a larger m, at another N and at the other node kind
+    monkeypatch.setattr(solver, "_node_tables", {})
+    monkeypatch.setattr(solver, "_NODE_TABLE_BYTES", 0)
+    fresh = _solve_and_sweep_bits(nodes)
+    assert solver._node_tables == {}
+    monkeypatch.setattr(solver, "_NODE_TABLE_BYTES", 32 << 20)
+    other = {"uniform": "lobatto", "lobatto": "uniform"}[nodes]
+    for warm in (_cfg(m=40, nodes=nodes), _cfg(m=40, N=1001, nodes=nodes), _cfg(nodes=other)):
+        solver._node_tables.clear()
+        solve_problem(_eq26(), CATALOG["eq26"].constraint_triples(), warm)
+        assert _solve_and_sweep_bits(nodes) == fresh
+
+
+def test_node_tables_are_read_only(monkeypatch):
+    monkeypatch.setattr(solver, "_node_tables", {})
+    solve_problem(_eq19(), CATALOG["eq19"].constraint_triples(), _cfg(m=30))
+    (x, grid), = solver._node_tables.values()
+    _, part = solver._node_table(map_ode(_eq19()).map, 1000, "uniform", 17)
+    assert part.shape == (3, 18, 1000) and np.shares_memory(part, grid)
+    for a in (x, grid, part):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0.0
+
+
+def test_node_table_cache_keeps_to_its_budget(monkeypatch):
+    # a budget of two (3, 18, 1000) tables with their nodes; the least
+    # recently used table goes first, and one over the budget is not kept
+    budget = 2 * (3 * 18 * 1000 * 8 + 1000 * 8)
+    monkeypatch.setattr(solver, "_NODE_TABLE_BYTES", budget)
+    monkeypatch.setattr(solver, "_node_tables", {})
+    dmap = map_ode(_eq19()).map
+    steps = [  # (N, nodes, m), then the kept (N, nodes, m_max), least recent first
+        ((1000, "uniform", 17), [(1000, "uniform", 17)]),
+        ((1000, "lobatto", 17), [(1000, "uniform", 17), (1000, "lobatto", 17)]),
+        ((1000, "uniform", 10), [(1000, "lobatto", 17), (1000, "uniform", 17)]),
+        ((900, "uniform", 17), [(1000, "uniform", 17), (900, "uniform", 17)]),
+        ((1000, "uniform", 30), [(1000, "uniform", 30)]),
+        ((2000, "uniform", 30), [(1000, "uniform", 30)]),
+    ]
+    for (N, nodes, m), kept in steps:
+        x, grid = solver._node_table(dmap, N, nodes, m)
+        assert grid.shape == (3, m + 1, N)
+        assert _bits(x) == _bits(dmap.nodes(N, nodes))
+        assert [(*key, g.shape[1] - 1) for key, (_, g) in solver._node_tables.items()] == kept
+        assert sum(a.nbytes + b.nbytes for a, b in solver._node_tables.values()) <= budget
+
+
+def test_node_table_cache_under_threads(monkeypatch):
+    # threads asking for tables of several sizes, under a budget that
+    # evicts on most calls, each get the bits of a table built for them
+    monkeypatch.setattr(solver, "_NODE_TABLE_BYTES", 3 * (3 * 21 * 200 * 8 + 200 * 8))
+    monkeypatch.setattr(solver, "_node_tables", {})
+    dmap = map_ode(_eq19()).map
+    keys = [(N, nodes, m) for N in (100, 150, 200) for nodes in ("uniform", "lobatto")
+            for m in (5, 20)]
+    ref = {k: _bits(eval_basis_grid(k[2], 2, dmap.nodes(k[0], k[1]))) for k in keys}
+    errors = []
+
+    def work(seed):
+        try:
+            for i in np.random.default_rng(seed).integers(len(keys), size=400):
+                assert _bits(solver._node_table(dmap, *keys[i])[1]) == ref[keys[i]]
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    held = sum(a.nbytes + b.nbytes for a, b in solver._node_tables.values())
+    assert held <= solver._NODE_TABLE_BYTES
 
 
 def test_constraint_rows_need_an_interval_end():

@@ -108,14 +108,14 @@ def clenshaw(c, x):
 
     Clenshaw's recurrence, from the top down: b_k = 2 x b_{k+1} - b_{k+2} +
     c_k, then the sum is x b_1 - b_2 + c_0 (Clenshaw 1955; Mason &
-    Handscomb, Chebyshev Polynomials, 2003, section 2.4). It needs three
-    (rows, len(x)) arrays, and no table of the basis.
+    Handscomb, Chebyshev Polynomials, 2003, section 2.4). It needs four
+    (rows, len(x)) arrays, 2x broadcast among them, and no table of the basis.
     """
     c = np.asarray(c, dtype=float)
     x = np.atleast_1d(x)
     b1, b2 = np.zeros((len(c), x.size)), np.zeros((len(c), x.size))
     b = np.empty_like(b1)
-    x2 = 2.0 * x
+    x2 = np.multiply(2.0, x, out=np.empty_like(b1))
     for k in range(c.shape[1] - 1, 0, -1):
         np.multiply(x2, b1, out=b)
         b -= b2

@@ -10,8 +10,8 @@ polynomials satisfy the Kronecker property
 Every constraint then holds identically in g. `eliminate` builds every
 such expression: Gauss-Jordan on constraint rows C over a basis (the
 null-space method; Bjorck 1996, section 5.1). On Chebyshev endpoint rows it
-gives the solver's series (`_eliminate`); on monomial rows against the
-identity, its pivots are the betas' support and C_S^-1 their coefficients.
+gives the solver's series (`_eliminate`); on monomial rows its pivots S are
+the betas' support, and an LU solve on C_S their coefficients C_S^-1.
 The twelve published two-constraint cases are reference data.
 """
 
@@ -132,10 +132,12 @@ def _coefficient_map(elim, m):
 
 
 def _beta_set(rows):
-    """Betas of functionals given as rows over x^0, x^1, ...: the pivots of
-    `eliminate` against the identity are the support, C_S^-1 the coefficients."""
-    S, _, _, A = eliminate(rows, np.eye(len(rows)))
-    return BetaSet(S, A)
+    """Betas of functionals given as rows C over x^0, x^1, ...: the pivots S of
+    `eliminate` are the support, and C_S^-1, the coefficients, comes from an LU
+    solve, whose Kronecker residual is smaller than Gauss-Jordan's."""
+    C = np.asarray(rows, dtype=float)
+    S = eliminate(C, np.empty((len(C), 0)))[0]
+    return BetaSet(S, np.linalg.solve(C[:, S], np.eye(len(C))))
 
 
 def build_betas(constraints):
@@ -235,7 +237,7 @@ class RelativeEmbedding:
     """Periodic-style embedding: y(t1) = y(t2) and ydot(t1) = ydot(t2).
 
     y(t) = g(t) - beta_0(t) (g1 - g2) - beta_1(t) (gdot1 - gdot2) for any
-    free function g, where g1 = g(t1) etc.; the betas come from `eliminate`
+    free function g, where g1 = g(t1) etc.; the betas come from `_beta_set`
     on the two relative rows over 1, t, t^2.
     """
 

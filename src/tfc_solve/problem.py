@@ -35,32 +35,32 @@ class MappedODE:
         self.map = DomainMap(ode.t1, ode.t2)
 
     def coefficients_at(self, x):
-        """(f2, f1, f0, f) arrays at the mapped points, checked finite."""
+        """(f2, f1, f0, f) float arrays of the mapped points' shape, checked
+        finite. A callable's float array of that shape is kept as returned;
+        anything else is cast and broadcast into a new array."""
         t = self.map.to_t(np.atleast_1d(np.asarray(x, dtype=float)))
         out = []
         for name, fn in (("f2", self.ode.f2), ("f1", self.ode.f1),
                          ("f0", self.ode.f0), ("f", self.ode.f)):
             v = np.asarray(fn(t), dtype=float)
-            v = np.broadcast_to(v, t.shape).copy()
-            bad = ~np.isfinite(v)
-            if bad.any():
-                j = int(np.argmax(bad))
+            if v.shape != t.shape:
+                v = np.broadcast_to(v, t.shape).copy()
+            if not np.isfinite(v).all():
+                j = int(np.argmax(~np.isfinite(v)))
                 raise NodeSingularity(name, j, float(t[j]))
             out.append(v)
         return tuple(out)
 
-    def homogeneous_operator(self, x, y, yp, ypp, coeffs=None, out=None, scratch=None):
-        """The f-free residual ((4/dt^2) f2 y'' + (2/dt) f1 y') + f0 y. With out,
-        the sum goes to out (ypp allowed); with scratch, an array of the sum's
-        shape sharing no memory with y or y', the products of y' and y go to
-        it. Given both, no temporary of their size is made, and y and y' are
-        only read."""
-        f2, f1, f0, _ = coeffs if coeffs is not None else self.coefficients_at(x)
+    def operator_weights(self, coeffs):
+        """The (3, len(x)) weights w = ((4/dt^2) f2, (2/dt) f1, f0) of the
+        mapped operator's terms y'', y', y, from coefficients_at's arrays."""
         dt = self.map.delta_t
-        out = np.multiply((4.0 / dt**2) * f2, ypp, out=out)
-        out += np.multiply((2.0 / dt) * f1, yp, out=scratch)
-        out += np.multiply(f0, y, out=scratch)
-        return out
+        return np.stack(((4.0 / dt**2) * coeffs[0], (2.0 / dt) * coeffs[1], coeffs[2]))
+
+    def homogeneous_operator(self, x, y, yp, ypp, coeffs=None):
+        """The f-free residual (w[0] y'' + w[1] y') + w[2] y, w the operator weights."""
+        w = self.operator_weights(self.coefficients_at(x) if coeffs is None else coeffs)
+        return w[0] * ypp + w[1] * yp + w[2] * y
 
 
 def map_ode(ode):
@@ -78,10 +78,10 @@ def implied_initial_value(mapped, known):
         raise ValueError(f"known must hold exactly two of {sorted(keys)}")
     (missing,) = keys - set(known)
 
-    f2, f1, f0, f = (float(v[0]) for v in mapped.coefficients_at(-1.0))
-    dt = mapped.map.delta_t
+    coeffs = mapped.coefficients_at(-1.0)
+    f = float(coeffs[3][0])
     # a*ddy_x + b*dy_x + c*y = f at t1
-    a, b, c = 4.0 / dt**2 * f2, 2.0 / dt * f1, f0
+    a, b, c = (float(v[0]) for v in mapped.operator_weights(coeffs))
     coeff = {"y": (c, "f0(t1)"), "dy_x": (b, "f1(t1)"), "ddy_x": (a, "f2(t1)")}
     div, name = coeff[missing]
     if div == 0.0 or not np.isfinite(div):

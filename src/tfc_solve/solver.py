@@ -36,8 +36,8 @@ one whose cut-off drops a value read xi off one inverse of their largest
 triangle (`_leading_xi`), since a leading block of a triangle's inverse is
 the inverse of its leading block.
 
-No temporary of the system's size is made besides the system matrix and one
-scratch; products go into existing arrays (`out=`) and keep their bits.
+No temporary of the system's size is made besides the system matrix and the
+W^T (L T_S) `assemble` subtracts; sums go into existing arrays (`out=`).
 """
 
 import threading
@@ -138,36 +138,42 @@ def assemble(constraints, mapped, cfg, *, _elim=None):
     views of one Fortran-order (N, m) array, lambda its last column, which
     `_factor` takes as it stands.
 
-    The node table (`_node_table`) is only read. L T_K goes straight into
-    the column rows, a run of kept k between two pivots at a time, with one
-    (len(K), N) scratch for the products, which then takes (L T_S)^T W; L T_S
-    is formed apart. Each is the operator's own products, in its order, so
-    every bit is that of L applied to the whole table.
+    The node table (`_node_table`) is only read. One einsum of its rows
+    T'', T', T with the operator weights w forms L T_K straight into the
+    column rows, a run of kept k between two pivots at a time, and L T_S
+    apart. Each sum is the operator's own, in its order, so every bit is
+    that of L on the whole table, save that einsum sums from +0.0: three
+    -0.0 products read +0.0.
     """
     S, K, W, a = _elim or _eliminate(constraints, cfg.m)
     x, grid = _node_table(mapped.map, cfg.N, cfg.nodes, cfg.m)
     coeffs = mapped.coefficients_at(x)
-    LS = mapped.homogeneous_operator(x, *grid[:, S], coeffs)
+    w = mapped.operator_weights(coeffs)
+    table = grid[::-1]
+    LS = np.einsum("dki,di->ki", table[:, S], w)
     n = len(K)
     # row j of buf is column j of [P | lambda], which is Fortran-ordered
     buf = np.empty((n + 1, cfg.N))
-    scratch = np.empty((n, cfg.N))
     # S and K ascend, so the kept k between the pivots S[i - 1] and S[i] are
     # consecutive rows of the table, and rows k - i of buf
     for i, (lo, hi) in enumerate(zip([-1, *S], [*S, cfg.m + 1])):
         if hi > lo + 1:
-            mapped.homogeneous_operator(x, *grid[:, lo + 1:hi], coeffs,
-                                        out=buf[lo + 1 - i:hi - i], scratch=scratch[:hi - lo - 1])
+            np.einsum("dki,di->ki", table[:, lo + 1:hi], w, out=buf[lo + 1 - i:hi - i])
     cols = buf[:n]
-    cols -= np.matmul(W.T, LS, out=scratch)
+    cols -= W.T @ LS
     np.subtract(coeffs[3], np.matmul(a, LS, out=buf[n]), out=buf[n])
     return cols.T, buf[n]
 
 
 def _require_finite(name, a):
-    ok = np.isfinite(a)
-    if not ok.all():
-        raise ValueError(f"{name} is non-finite at row {int(np.argwhere(~ok)[0][0])}")
+    """ValueError naming a's first row with a NaN or an infinity. A finite sum
+    means every entry is; only a sum that is not (or overflows) is scanned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(a, axis=None)
+    if not np.isfinite(total):
+        bad = ~np.isfinite(a)
+        if bad.any():
+            raise ValueError(f"{name} is non-finite at row {int(np.argwhere(bad)[0][0])}")
 
 
 def _one_array(P, lam):

@@ -212,6 +212,14 @@ def test_derivative_series_of_stacked_columns(m):
     assert stacked.shape == (m + 1, 5, 1) and stacked.tobytes() == ref.tobytes()
 
 
+def _clenshaw_reference(c, x):
+    """Clenshaw's recurrence as written, 2x broadcast at each step."""
+    b1 = b2 = np.zeros((len(c), len(x)))
+    for k in range(c.shape[1] - 1, 0, -1):
+        b1, b2 = 2.0 * x * b1 - b2 + c[:, k, None], b1
+    return x * b1 - b2 + c[:, :1]
+
+
 # Coefficients decaying at up to e^-1.5 per degree, over ten decades of scale.
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(m=st.sampled_from([2, 3, 17, 30]), decay=st.floats(0.0, 1.5),
@@ -226,7 +234,9 @@ def test_clenshaw_matches_the_basis_grid(m, decay, decades, seed):
     c = rng.standard_normal(m + 1) * np.exp(-decay * np.arange(m + 1)) * 10.0**decades
     x = np.r_[-1.0, 0.0, 1.0, rng.uniform(-1.0, 1.0, 20)]
     dc = derivative_series(c)
-    got = clenshaw(np.stack([c, dc, derivative_series(dc)]), x)
+    series = np.stack([c, dc, derivative_series(dc)])
+    got = clenshaw(series, x)
+    assert got.tobytes() == _clenshaw_reference(series, x).tobytes()
     ref = c @ eval_basis_grid(m, 2, x)
     assert got.shape == ref.shape == (3, len(x))
     bound = 4.0 * m * EPS * (np.abs(c) @ endpoint_rows(m, (0, 1, 2), (1.0,) * 3).T)

@@ -44,8 +44,9 @@ def test_solve_ls_makes_no_copy_of_the_system():
 
 
 def test_solution_callable_builds_no_basis_grid():
-    # y, y' and y'' are summed by Clenshaw's recurrence in three (3, len(t))
-    # arrays (0.15 grids); a (3, m + 1, len(t)) basis grid took it to 1.06
+    # y, y' and y'' are summed by Clenshaw's recurrence in four (3, len(t))
+    # arrays, 2x broadcast among them (0.18 grids); a (3, m + 1, len(t))
+    # basis grid took it to 1.06
     entry = CATALOG["eq19"]
     sol = solve_problem(entry.ode(), entry.constraint_triples(), CollocationConfig(m=23, N=1000))
     t = np.linspace(entry.ode().t1, entry.ode().t2, 10001)
@@ -55,8 +56,9 @@ def test_solution_callable_builds_no_basis_grid():
 
 def test_warm_solve_reads_the_kept_node_table():
     # a warm eq19 solve peaks at 2.36 systems: [P | lambda] (one system) and
-    # the assembly's scratch (0.96), with the node table kept from the first
-    # call; a (3, m + 1, N) basis grid built on every call took it to 4.44
+    # the product W^T (L T_S) the assembly subtracts from it (0.96), with the
+    # node table kept from the first call; a (3, m + 1, N) basis grid built on
+    # every call took it to 4.44
     entry = CATALOG["eq19"]
     cfg = CollocationConfig(m=23, N=4000)
     system = cfg.N * (cfg.m - 1) * 8 + cfg.N * 8  # P and lambda
@@ -65,9 +67,10 @@ def test_warm_solve_reads_the_kept_node_table():
 
 
 def test_m_sweep_assembles_through_one_scratch():
-    # the column buffer (one system) and the assembly's scratch (0.97) are
-    # the only arrays of their size, a peak of 2.52 systems; with a
-    # (3, m + 1, N) basis grid built on every call it was 4.38
+    # the column buffer (one system) and the product W^T (L T_S) the
+    # assembly subtracts from it (0.97) are the only arrays of their size, a
+    # peak of 2.34 systems; with a (3, m + 1, N) basis grid built on every
+    # call it was 4.38
     entry = CATALOG["eq28"]
     ode, constraints = entry.ode(), entry.constraint_triples()
     m_range = range(entry.sweep[0], entry.sweep[1] + 1)

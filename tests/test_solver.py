@@ -287,13 +287,21 @@ def test_solve_ls_weights_and_no_scaling_match_reference():
                                   _reference_solve_ls(P, lam, w, scaling))
 
 
-@pytest.mark.parametrize("name, bad", [("P", np.inf), ("lam", np.nan), ("weights", np.nan)])
+@pytest.mark.parametrize("name, bad", [(name, bad) for name in ("P", "lam")
+                                       for bad in (np.nan, np.inf, -np.inf, 1e308)]
+                         + [("weights", np.nan)])
 def test_solve_ls_rejects_non_finite_input(name, bad):
     rng = np.random.default_rng(7)
     args = {"P": rng.normal(size=(20, 3)), "lam": rng.normal(size=20),
             "weights": np.ones(20)}
     args[name][12] = bad
     args[name][15] = bad  # only the first bad row is named
+    if np.isfinite(bad):
+        # every entry is finite, though their sum overflows: solved, not
+        # refused (the kernel's own sums of squares overflow at this size)
+        with np.errstate(over="ignore"):
+            assert isinstance(solve_ls(args["P"], args["lam"], args["weights"]), LSSolution)
+        return
     with pytest.raises(ValueError, match=f"^{name} is non-finite at row 12$"):
         solve_ls(args["P"], args["lam"], args["weights"])
 
@@ -942,38 +950,58 @@ def test_assemble_returns_one_fortran_buffer(case_id):
     assert _one_fortran_buffer(P, lam)
 
 
+def _reference_coefficients(mapped, x):
+    """f2, f1, f0 and f at the nodes, each cast and broadcast into an array
+    of its own."""
+    t = mapped.map.to_t(x)
+    ode = mapped.ode
+    return [np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape).copy()
+            for fn in (ode.f2, ode.f1, ode.f0, ode.f)]
+
+
 def _reference_assemble(constraints, mapped, cfg):
     """L T_k for every k, and each product, as an array of its own."""
     S, K, W, a = _eliminate(constraints, cfg.m)
     x = mapped.map.nodes(cfg.N, cfg.nodes)
-    f2, f1, f0, f = mapped.coefficients_at(x)
+    f2, f1, f0, f = _reference_coefficients(mapped, x)
     grid = eval_basis_grid(cfg.m, 2, x)
     dt = mapped.map.delta_t
     LT = (4.0 / dt**2) * f2 * grid[2] + (2.0 / dt) * f1 * grid[1] + f0 * grid[0]
     return (LT[K] - W.T @ LT[S]).T, f - a @ LT[S]
 
 
+# Coefficient callables that return a Python scalar, a list, an int array
+# and t itself: `coefficients_at` keeps only a float array of t's shape as
+# it was returned.
+_UNCAST = LinearODE2(f2=lambda t: 2.0, f1=lambda t: (0.25 * t - 1.0).tolist(),
+                     f0=lambda t: np.arange(len(t)) % 3 - 1, f=lambda t: t, t1=0.5, t2=2.0)
+
+
 @pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
 @pytest.mark.parametrize("case_id", sorted(FIXED_CASES))
 def test_assemble_bit_identical_to_allocating_form(case_id, nodes):
-    mapped = map_ode(_eq19())
     constraints = fixed_case_expression(case_id, (0.75, -1.25)).constraints
-    for m in (2, 17, 30):
-        for N in (20, 1000, 4000):
-            if N < m + 1:
-                continue
-            cfg = _cfg(m=m, N=N, nodes=nodes)
-            if case_id == "BVP_ddy_ddy" and m == 2:
-                # its pivots are T_2 and T_3
-                with pytest.raises(ValueError, match="constraint rows have rank 1"):
-                    assemble(constraints, mapped, cfg)
-                continue
-            P, lam = assemble(constraints, mapped, cfg)
-            P_ref, lam_ref = _reference_assemble(constraints, mapped, cfg)
-            # the residual P @ xi rounds by P's memory order, so it is kept
-            assert P.flags.f_contiguous == P_ref.flags.f_contiguous
-            assert _bits(P) == _bits(P_ref), (m, N)
-            assert _bits(lam) == _bits(lam_ref), (m, N)
+    for ode in (_eq19(), _eq26(), _UNCAST):
+        mapped = map_ode(ode)
+        for m in (2, 17, 30):
+            for N in (20, 1000, 4000):
+                if N < m + 1:
+                    continue
+                cfg = _cfg(m=m, N=N, nodes=nodes)
+                if case_id == "BVP_ddy_ddy" and m == 2:
+                    # its pivots are T_2 and T_3
+                    with pytest.raises(ValueError, match="constraint rows have rank 1"):
+                        assemble(constraints, mapped, cfg)
+                    continue
+                x = mapped.map.nodes(N, nodes)
+                for got, ref in zip(mapped.coefficients_at(x), _reference_coefficients(mapped, x)):
+                    assert got.dtype == np.float64 and _bits(got) == _bits(ref), (m, N)
+                P, lam = assemble(constraints, mapped, cfg)
+                P_ref, lam_ref = _reference_assemble(constraints, mapped, cfg)
+                # the residual P @ xi rounds by P's memory order, so it is kept
+                assert P.flags.f_contiguous == P_ref.flags.f_contiguous
+                assert _bits(P) == _bits(P_ref), (m, N)
+                assert _bits(lam) == _bits(lam_ref), (m, N)
 
 
 def _reference_eliminate(constraints, m):

@@ -7,8 +7,7 @@ The coupled first-order system for z = (x1, x2, lambda1, lambda2),
 
 is solved with the scalar solver's embedding (`embedding._eliminate`): a
 component's boundary values are constraint rows over T_0..T_m, and its
-series is c_K = xi, c_S = a - W xi (`embedding._coefficient_map`), so the
-boundary values hold for any xi.
+series is c_K = xi, c_S = a - W xi, so the boundary values hold for any xi.
 The collocated dynamics residual is minimized by least squares over the xi
 of every block with the scalar solver's kernel, `solver.solve_ls`. Which
 embedding is used is read off A at the nodes:
@@ -22,13 +21,13 @@ embedding is used is read off A at the nodes:
   its end), and all four equations are collocated: 4N x 4m.
 
 Each costate component carries its terminal value (S = {0} at x = +1) in
-both. The basis is evaluated once, as a table of the values T_0..T_m at the
-nodes: a t-derivative of a series is a map on its coefficients
-(`chebyshev.derivative_series`, times 2 / (tf - t0) per order), so each
-block's basis functions and their derivatives at the nodes are one batched
-product with that table. The solution is one Chebyshev series per component
-of z; `state` and `costate` sum them by Clenshaw's recurrence
-(`chebyshev.clenshaw`).
+both. The system is assembled as the scalar solver's is
+(`solver._collocate`), over the same kept node table of T_k, T_k', T_k''
+(`solver._node_table`): a t-derivative is s = 2 / (tf - t0) times an
+x-derivative, so each equation puts A's entries, times powers of s, on the
+table's rows. A is evaluated at the table's nodes mapped to t. The solution
+is one Chebyshev series per component of z; `state` and `costate` sum them
+by Clenshaw's recurrence (`chebyshev.clenshaw`).
 """
 
 from dataclasses import dataclass
@@ -36,11 +35,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chebyshev import _clip_to_interval, clenshaw, derivative_series, eval_basis_grid
-from .embedding import ConstraintSpec, _coefficient_map, _eliminate
+from .chebyshev import _clip_to_interval, clenshaw, derivative_series
+from .embedding import ConstraintSpec, _eliminate
 from .errors import NodeSingularity
 from .mapping import DomainMap
-from .solver import CollocationConfig, solve_ls
+from .solver import CollocationConfig, _collocate, _node_table, _series, solve_ls
 
 
 @dataclass(frozen=True)
@@ -172,70 +171,42 @@ def _general_embedding(dmap, x0, lf):
     return state + _costate_blocks(lf), (0, 1, 2, 3)
 
 
-def _block_system(dmap, tnodes, A, m, blocks, rows):
-    """M xi = rhs: z_r' - (A z)_r = 0 for r in rows at every node.
+def _weights(A, r, feeds, s):
+    """Equation r's weights on one block's T^(D), ..., T', T. The z_c of a
+    feed (c, d) is s^d times the series' d-th x-derivative: -A[r, c] z_c puts
+    -A[r, c] s^d on T^(d), and z_r' puts s^(d + 1) on T^(d + 1) where c = r."""
+    top = max(d + (c == r) for c, d in feeds)
+    w = np.zeros((top + 1, A.shape[-1]))
+    for c, d in feeds:
+        w[top - d] -= A[r, c] * s ** d
+        if c == r:
+            w[top - d - 1] += s ** (d + 1)
+    return w
 
-    A block's series is phi xi + p; each of its feeds (c, d) makes z_c that
-    series' d-th t-derivative. With Q the block's map from (xi, 1) to
-    coefficients (`embedding._coefficient_map`), D the derivative map on
-    coefficients and s = 2 / dt, the d-th t-derivatives of [phi | p] at the
-    nodes are (s^d D^d Q)^T T, T the (m + 1, N) value table: one batched
-    matmul per block for every order it needs. Rows are equation-major:
-    equation rows[i] at node j is row i N + j. Columns are the blocks' xi
-    in order. M and rhs are the columns of one Fortran-order [M | rhs]
-    array, whose row blocks the kernel factors as they stand, and are
-    filled in place: an entry of M is sum_c (-A[r, c]) z_c over the block's
-    feeds, c ascending, plus z_r' where the block feeds r. Also returns the
-    map from a solution xi to the (4, m + 1) coefficients of z.
+
+def _block_system(dmap, grid, A, blocks, rows):
+    """M xi = rhs: z_r' - (A z)_r = 0 for r in rows at every node, built by
+    `solver._collocate` over the node table grid with s = 2 / dt. Each block
+    is one series over T_0..T_m, and each of its feeds (c, d) makes z_c that
+    series' d-th t-derivative. Rows are equation-major, columns the blocks'
+    xi in order. Also returns the map from a solution xi to the (4, m + 1)
+    coefficients of z.
     """
-    n = len(tnodes)
-    T = eval_basis_grid(m, 0, _x_at(dmap, tnodes))[0]
-    Qs = [_coefficient_map(_eliminate(constraints, m), m) for constraints, _ in blocks]
-    widths = [Q.shape[1] - 1 for Q in Qs]
+    m = grid.shape[1] - 1
     s = 2.0 / dmap.delta_t
-    negA = -A
-    buf = np.empty((sum(widths) + 1, len(rows), n))  # the last slice is rhs
-    scratch = np.empty((max(widths), n))
-    z = np.empty((4, n))    # particular part of z, and of z'
-    dz = np.empty((4, n))
-    col = 0
-    for (_, feeds), Q, w in zip(blocks, Qs, widths):
-        # the columns' t-derivatives, up to one past the feeds' highest
-        # order, as series: s^d D^d Q with s = 2 / dt
-        DQ = [Q]
-        for _ in range(1 + max(d for _, d in feeds)):
-            DQ.append(derivative_series(DQ[-1]))
-        F = np.matmul(np.stack([q * s ** d for d, q in enumerate(DQ)]).transpose(0, 2, 1), T)
-        phi, p = F[:, :w], F[:, w]
-        for i, r in enumerate(rows):
-            o = buf[col:col + w, i]
-            for j, (c, d) in enumerate(feeds):
-                if j:
-                    o += np.multiply(negA[r, c], phi[d], out=scratch[:w])
-                else:
-                    np.multiply(negA[r, c], phi[d], out=o)
-            for c, d in feeds:
-                if c == r:
-                    o += phi[d + 1]
-        for c, d in feeds:
-            z[c], dz[c] = p[d], p[d + 1]
-        col += w
-        del F, phi, p  # before the next block's products are made
-    rows = list(rows)
-    rhs = np.negative(dz[rows], out=buf[-1])
-    for c in range(4):
-        rhs += A[rows, c] * z[c]
+    elims = [_eliminate(constraints, m) for constraints, _ in blocks]
 
     def coefficients(xi):
         out = np.empty((4, m + 1))
-        for (_, feeds), Q, xi_b in zip(blocks, Qs, np.split(xi, np.cumsum(widths)[:-1])):
-            c = Q @ np.append(xi_b, 1.0)
+        widths = np.cumsum([len(K) for _, K, _, _ in elims])[:-1]
+        for (_, feeds), elim, xi_b in zip(blocks, elims, np.split(xi, widths)):
+            c = _series(elim, m, xi_b)
             for comp, d in feeds:  # d is 0 or 1
                 out[comp] = dmap.dydx_to_dydt(derivative_series(c)) if d else c
         return out
 
-    system = buf.reshape(len(buf), -1).T
-    return system[:, :-1], system[:, -1], coefficients
+    weights = [[_weights(A, r, feeds, s) for _, feeds in blocks] for r in rows]
+    return *_collocate(grid, elims, weights, 0.0), coefficients
 
 
 def assemble_state_costate(problem, cfg):
@@ -243,13 +214,13 @@ def assemble_state_costate(problem, cfg):
     its solution xi to the (4, m + 1) coefficients of x1, x2, lambda1 and
     lambda2: 3N x (3m - 1) for companion-form A, 4N x 4m otherwise."""
     dmap = DomainMap(problem.t0, problem.tf)
-    tnodes = dmap.to_t(dmap.nodes(cfg.N, cfg.nodes))
-    A = _dynamics(problem, tnodes)
+    x, grid = _node_table(dmap, cfg.N, cfg.nodes, cfg.m)
+    A = _dynamics(problem, dmap.to_t(x))
     x0, lf = (np.asarray(v, dtype=float) for v in (problem.x0, problem.lambda_f))
     if x0.shape != (2,) or lf.shape != (2,):
         raise ValueError("x0 and lambda_f must each hold 2 values")
     embedding = _companion_embedding if _is_companion(A) else _general_embedding
-    return _block_system(dmap, tnodes, A, cfg.m, *embedding(dmap, x0, lf))
+    return _block_system(dmap, grid, A, *embedding(dmap, x0, lf))
 
 
 def solve_state_costate(problem, cfg=None):

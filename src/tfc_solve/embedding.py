@@ -120,17 +120,6 @@ def _eliminate(constraints, m):
     return S, K, W, a[:, 0]
 
 
-def _coefficient_map(elim, m):
-    """Q, (m + 1) x (len(K) + 1): Q (xi, 1) is the series c_K = xi, c_S =
-    a - W xi, so Q^T T is (phi, p) with phi = T_K - T_S^T W and p = T_S^T a."""
-    S, K, W, a = elim
-    Q = np.zeros((m + 1, len(K) + 1))
-    Q[K, np.arange(len(K))] = 1.0
-    Q[S, :-1] = -W
-    Q[S, -1] = a
-    return Q
-
-
 def _beta_set(rows):
     """Betas of functionals given as rows C over x^0, x^1, ...: the pivots S of
     `eliminate` are the support, and C_S^-1, the coefficients, comes from an LU

@@ -5,9 +5,10 @@ order 0, 1 or 2 at t1 or t2, are the rows C of T_k^(d)(-1 or +1) values
 (`chebyshev.endpoint_rows`), and C c must equal their values. Eliminating C
 with the package's one elimination (`embedding._eliminate`, the null-space
 method; Bjorck 1996, section 5.1) leaves the kept columns K free: any c_K =
-xi with c_S = a - W xi meets the constraints. Column j of the collocation
-matrix is the mapped homogeneous ODE operator L applied to T_{K_j} - T_S^T
-W_j; the right-hand side is f - L T_S^T a. P and lambda are built as the
+xi with c_S = a - W xi (`_series`) meets the constraints. One assembly,
+`_collocate`, builds the scalar ODE's system (`assemble`) and the
+state/costate blocks': column j is a linear operator L applied to T_{K_j} -
+T_S^T W_j, L T_S^T a comes off the right-hand side, and P and lambda are the
 columns of one Fortran-order [P | lambda] array. The solution callable sums
 its series by Clenshaw's recurrence, so the basis recurrence runs at the
 collocation nodes only.
@@ -27,7 +28,7 @@ the state/costate block solver: a QR of the row-weighted [P | lambda], taken
 as the Householder QR of each block of rows followed by one QR of their
 stacked triangles, then the column scaling applied to the small triangle R.
 xi comes from the scaled triangle: its singular values give cond(P^T P)
-(`_singular_values`), then a solve on R (`_xi_from_r`), or a full SVD of R
+(`_singular_values`), then a solve on R (`solve_ls`), or a full SVD of R
 where lstsq's cut-off drops a value. The residual statistics
 (`_residual_statistics`) come from one product for any number of solutions.
 `m_sweep` assembles and factors once; each m reads a leading block of R,
@@ -37,7 +38,7 @@ triangle (`_leading_xi`), since a leading block of a triangle's inverse is
 the inverse of its leading block.
 
 No temporary of the system's size is made besides the system matrix and the
-W^T (L T_S) `assemble` subtracts; sums go into existing arrays (`out=`).
+W^T (L T_S) `_collocate` subtracts; sums go into existing arrays (`out=`).
 """
 
 import threading
@@ -130,39 +131,52 @@ def _node_table(dmap, N, nodes, m):
     return x, grid[:, :m + 1]
 
 
+def _collocate(grid, elims, weights, rhs):
+    """[P | lambda] of equations over constrained series, as the columns of
+    one Fortran-order array that `_factor` takes as it stands. Rows are
+    equation-major (row i N + j is equation i at node j), columns the
+    series' xi in order.
+
+    grid is the (3, m + 1, N) node table, only read; elims[b] = (S, K, W, a)
+    is series b's `_eliminate`; weights[i][b], (D + 1, N), weight its T^(D),
+    ..., T', T in equation i, highest first, L their sum; rhs broadcasts to
+    (equations, N). One einsum forms L T_K straight into the column rows, a
+    run of kept k between two pivots at a time, summed in the weights' order
+    from +0.0; W^T (L T_S) comes off them and a^T (L T_S) off rhs.
+    """
+    widths = [len(K) for _, K, _, _ in elims]
+    # row j of buf[:, i] is column j of equation i's rows of [P | lambda]
+    buf = np.empty((sum(widths) + 1, len(weights), grid.shape[2]))
+    buf[-1] = rhs
+    for i, row in enumerate(weights):
+        col = 0
+        for (S, K, W, a), w, n in zip(elims, row, widths):
+            table = grid[len(w) - 1::-1]
+            LS = np.einsum("dki,di->ki", table[:, S], w)
+            cols = buf[col:col + n, i]
+            # S and K ascend, so the kept k between the pivots S[j - 1] and
+            # S[j] are consecutive rows of the table, and rows k - j of cols
+            for j, (lo, hi) in enumerate(zip([-1, *S], [*S, grid.shape[1]])):
+                if hi > lo + 1:
+                    np.einsum("dki,di->ki", table[:, lo + 1:hi], w, out=cols[lo + 1 - j:hi - j])
+            cols -= W.T @ LS
+            buf[-1, i] -= a @ LS
+            col += n
+    system = buf.reshape(len(buf), -1).T
+    return system[:, :-1], system[:, -1]
+
+
 def assemble(constraints, mapped, cfg, *, _elim=None):
     """The N x (m - 1) system P xi = lambda over the kept columns K: with L
     the mapped homogeneous operator, P = L T_K - (L T_S)^T W and lambda =
-    f - (L T_S)^T a. constraints are x-domain ConstraintSpecs, and _elim is
-    their `_eliminate` at cfg.m when the caller has it. P and lambda are
-    views of one Fortran-order (N, m) array, lambda its last column, which
-    `_factor` takes as it stands.
-
-    The node table (`_node_table`) is only read. One einsum of its rows
-    T'', T', T with the operator weights w forms L T_K straight into the
-    column rows, a run of kept k between two pivots at a time, and L T_S
-    apart. Each sum is the operator's own, in its order, so every bit is
-    that of L on the whole table, save that einsum sums from +0.0: three
-    -0.0 products read +0.0.
+    f - (L T_S)^T a; _elim is the x-domain constraints' `_eliminate` at cfg.m
+    when the caller has it. One equation over one series (`_collocate`), with
+    L's bits on the whole table save that three -0.0 products read +0.0.
     """
-    S, K, W, a = _elim or _eliminate(constraints, cfg.m)
     x, grid = _node_table(mapped.map, cfg.N, cfg.nodes, cfg.m)
     coeffs = mapped.coefficients_at(x)
-    w = mapped.operator_weights(coeffs)
-    table = grid[::-1]
-    LS = np.einsum("dki,di->ki", table[:, S], w)
-    n = len(K)
-    # row j of buf is column j of [P | lambda], which is Fortran-ordered
-    buf = np.empty((n + 1, cfg.N))
-    # S and K ascend, so the kept k between the pivots S[i - 1] and S[i] are
-    # consecutive rows of the table, and rows k - i of buf
-    for i, (lo, hi) in enumerate(zip([-1, *S], [*S, cfg.m + 1])):
-        if hi > lo + 1:
-            np.einsum("dki,di->ki", table[:, lo + 1:hi], w, out=buf[lo + 1 - i:hi - i])
-    cols = buf[:n]
-    cols -= W.T @ LS
-    np.subtract(coeffs[3], np.matmul(a, LS, out=buf[n]), out=buf[n])
-    return cols.T, buf[n]
+    return _collocate(grid, [_elim or _eliminate(constraints, cfg.m)],
+                      [[mapped.operator_weights(coeffs)]], coeffs[3])
 
 
 def _require_finite(name, a):
@@ -178,7 +192,7 @@ def _require_finite(name, a):
 
 def _one_array(P, lam):
     """[P | lam] as a view of the one Fortran-order array whose columns they
-    are, as `assemble` and `_block_system` build them; else None.
+    are, as `_collocate` builds them; else None.
 
     The view is their base reshaped. One made by np.lib.stride_tricks.as_strided
     from P would do too, but in a long loop of m_sweep calls it once grew a
@@ -237,7 +251,12 @@ def _factor(P, lam, weights, scaling):
     R = Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
     if scaling != "column_norm":
         return R, np.ones(n)
-    s = np.linalg.norm(R[:, :n], axis=0)
+    with np.errstate(over="ignore"):
+        s = np.linalg.norm(R[:, :n], axis=0)
+    big = ~np.isfinite(s)  # past about 1.3e154 the squares overflow
+    if big.any():
+        top = np.max(np.abs(R[:, :n][:, big]), axis=0)
+        s[big] = top * np.linalg.norm(R[:, :n][:, big] / top, axis=0)
     s[s == 0.0] = 1.0
     R[:, :n] /= s
     return R, s
@@ -255,7 +274,7 @@ def _singular_values(R, rows, n, s, cut=False):
     is the triangle of those n columns, R[:n, -1] is Q^T lw for them, and the
     singular values of T are those of the scaled P. A square T whose singular
     values all pass the cut-off needs only those values, and its xi is the
-    caller's (a solve in `_xi_from_r`, one inverse for a sweep in
+    caller's (a solve in `solve_ls`, one inverse for a sweep in
     `_leading_xi`). Otherwise xi is the minimum-norm solution from a full SVD
     of T, keeping the values above the cut-off, divided by s[:n]. A T with
     fewer rows than n takes the full SVD at once, and so does cut=True:
@@ -279,17 +298,6 @@ def _singular_values(R, rows, n, s, cut=False):
     return z, float(cond), bool(smin < RANK_DEFICIENT_TOL * smax)
 
 
-def _xi_from_r(R, rows, n, s):
-    """xi on the leading n columns of a factored system, cond(P^T P) and the
-    rank-deficiency flag: the full-SVD xi of `_singular_values` where the
-    cut-off drops a value, else a solve on T = R[:n, :n], the QR
-    least-squares solution (Bjorck 1996)."""
-    z, cond, rank_deficient = _singular_values(R, rows, n, s)
-    if z is None:
-        z = np.linalg.solve(R[:n, :n], R[:n, -1]) / s[:n]
-    return z, cond, rank_deficient
-
-
 def _leading_xi(R, n, s):
     """xi on the leading k columns for every k = 1..n at once: column k - 1
     holds it in its first k entries.
@@ -300,7 +308,7 @@ def _leading_xi(R, n, s):
     R[j, -1], which the cumulative sum along the rows of R_inv R[:n, -1]
     gives for every k; R_inv is upper triangular, so its entries below
     row k add nothing to column k - 1. Rows divide by s[:n] as in
-    `_xi_from_r`.
+    `solve_ls`.
     """
     Z = np.cumsum(np.linalg.inv(R[:n, :n]) * R[:n, -1], axis=1)
     Z /= s[:n, None]
@@ -331,14 +339,18 @@ def solve_ls(P, lam, weights=None, scaling="column_norm"):
 
     Rows are weighted by sqrt(weights), one weight per row; scaling is
     "column_norm" or "none". One QR of the weighted [P | lambda], over
-    blocks of rows, whose triangle is then column-scaled, then xi from the
-    small triangle (`_xi_from_r`); raises ValueError on a non-finite P,
-    lambda or weight.
+    blocks of rows, whose triangle R is then column-scaled; xi is the
+    full-SVD xi of `_singular_values` where the cut-off drops a value, else
+    the QR least-squares solution (Bjorck 1996), a solve on R[:n, :n].
+    Raises ValueError on a non-finite P, lambda or weight.
     """
     P = np.asarray(P, dtype=float)
     lam = np.asarray(lam, dtype=float)
     R, s = _factor(P, lam, weights, scaling)
-    xi, cond, rank_deficient = _xi_from_r(R, *P.shape, s)
+    n = P.shape[1]
+    xi, cond, rank_deficient = _singular_values(R, *P.shape, s)
+    if xi is None:
+        xi = np.linalg.solve(R[:n, :n], R[:n, -1]) / s[:n]
     r, mean, abs_mean, std = _residual_statistics(P, xi[:, None], lam, np.empty((len(P), 1)))
     return LSSolution(
         xi=xi,
@@ -386,13 +398,17 @@ def solve_problem(ode, constraints, cfg=None):
     return sol
 
 
-def _make_solution(elim, mapped, m, xi):
-    """The Chebyshev series with c_K = xi and c_S = a - W xi, as a t-callable."""
+def _series(elim, m, xi):
+    """The coefficients c_0..c_m of the series with c_K = xi and c_S = a - W xi."""
     S, K, W, a = elim
     c = np.empty(m + 1)
-    c[K] = xi
-    c[S] = a - W @ xi
+    c[K], c[S] = xi, a - W @ xi
+    return c
 
+
+def _make_solution(elim, mapped, m, xi):
+    """The `_series` of xi as a t-callable."""
+    c = _series(elim, m, xi)
     dc = derivative_series(c)
     series = np.stack([c, dc, derivative_series(dc)])
 

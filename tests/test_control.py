@@ -16,8 +16,10 @@ from tfc_solve import (
     eval_basis_grid,
     shoot_state_costate,
     solve_ls,
+    solve_problem,
     solve_state_costate,
 )
+from tfc_solve.catalog import CATALOG
 from tfc_solve.chebyshev import derivative_series
 from tfc_solve.cli import load_problem, main
 from tfc_solve.control import (
@@ -27,7 +29,8 @@ from tfc_solve.control import (
     _x_at,
     assemble_state_costate,
 )
-from tfc_solve.embedding import _coefficient_map, _eliminate
+from tfc_solve.embedding import _eliminate
+from tfc_solve.solver import _node_table
 
 I2 = np.eye(2)
 Z2 = np.zeros((2, 2))
@@ -182,45 +185,32 @@ def test_solution_outside_interval_raises():
 # The in-place block assembly against an allocating per-node form.
 
 
-def basis_products_from_values(dmap, Q, tnodes):
-    """(phi, p) of a block and their first two t-derivatives over the nodes:
-    the series s^d D^d Q, s = 2 / dt, of each order d summed against the
-    value table T_0..T_m, one product per order."""
-    T = eval_basis_grid(len(Q) - 1, 0, _x_at(dmap, tnodes))[0]
-    DQ = [Q, derivative_series(Q)]
-    DQ.append(derivative_series(DQ[1]))
-    s = 2.0 / dmap.delta_t
-    return np.stack([(q * s ** d).T @ T for d, q in enumerate(DQ)])
+def coefficient_map(elim, m):
+    """Q, (m + 1) x (len(K) + 1): Q (xi, 1) is the series c_K = xi, c_S =
+    a - W xi, so Q^T T is (phi, p) with phi = T_K - T_S^T W and p = T_S^T a."""
+    S, K, W, a = elim
+    Q = np.zeros((m + 1, len(K) + 1))
+    Q[K, np.arange(len(K))] = 1.0
+    Q[S, :-1] = -W
+    Q[S, -1] = a
+    return Q
 
 
-def basis_products_from_grid(dmap, Q, tnodes):
-    """The same from the t-scaled derivative grid the assembly once built:
-    Q^T times T_k, 2/dt T_k' and 4/dt^2 T_k'' at the nodes."""
-    grid = eval_basis_grid(len(Q) - 1, 2, _x_at(dmap, tnodes))
-    dmap.dydx_to_dydt(grid[1], out=grid[1])
-    dmap.d2ydx2_to_d2ydt2(grid[2], out=grid[2])
-    return Q.T @ grid
-
-
-def assemble_per_node(problem, cfg, products=basis_products_from_values):
-    """Reference: M and rhs built node by node, one A call per block.
-
-    In companion form x1 = phi_x xi_x + p_x with x1(t0) and x1'(t0) fixed,
-    x2 = x1', and the rows are x2' = x1'' and the two costate equations.
-    Otherwise each component has its own series, fixed at its end, and all
-    four equations are rows. Each costate component is fixed at tf. An
-    entry is the sum of -A[r, c] z_c over the block's feeds, c ascending,
-    plus z_r' where the block feeds row r; rows are equation-major.
-    """
+def per_node_setup(problem, cfg):
+    """The nodes x, A at each of their times from one call per block and
+    node, and the embedding: in companion form x1 carries x1(t0) and x1'(t0)
+    and feeds x2 = x1', and the rows are x2' = x1'' and the two costate
+    equations; otherwise each component has its own series, fixed at its
+    end, and all four equations are rows. Each costate component is fixed
+    at tf. A block is (constraints, feeds), a feed (c, d) making z_c the
+    series' d-th t-derivative."""
     dmap = DomainMap(problem.t0, problem.tf)
-    tnodes = dmap.to_t(dmap.nodes(cfg.N, cfg.nodes))
-    m = cfg.m
+    x = dmap.nodes(cfg.N, cfg.nodes)
     x0 = [float(v) for v in problem.x0]
     lf = [float(v) for v in problem.lambda_f]
     a = [np.block([[problem.A11(t), problem.A12(t)], [problem.A21(t), problem.A22(t)]])
-         for t in tnodes]
-    companion = all(np.array_equal(aj[0], [0.0, 1.0, 0.0, 0.0]) for aj in a)
-    if companion:
+         for t in dmap.to_t(x)]
+    if all(np.array_equal(aj[0], [0.0, 1.0, 0.0, 0.0]) for aj in a):
         x1 = (ConstraintSpec(0, -1.0, x0[0]), ConstraintSpec(1, -1.0, x0[1] * dmap.delta_t / 2.0))
         blocks = [(x1, [(0, 0), (1, 1)])]
         rows = [1, 2, 3]
@@ -228,9 +218,79 @@ def assemble_per_node(problem, cfg, products=basis_products_from_values):
         blocks = [((ConstraintSpec(0, -1.0, x0[i]),), [(i, 0)]) for i in (0, 1)]
         rows = [0, 1, 2, 3]
     blocks += [((ConstraintSpec(0, 1.0, lf[i]),), [(2 + i, 0)]) for i in (0, 1)]
-    # (phi, p) of each block, its derivatives over the nodes
-    F = [products(dmap, _coefficient_map(_eliminate(cs, m), m), tnodes) for cs, _ in blocks]
+    return dmap, x, a, blocks, rows
 
+
+def assemble_per_node(problem, cfg):
+    """Reference: M and rhs on the scalar solver's route, node by node.
+
+    At node j, equation r puts -A[r, c] s^d on T^(d) for each feed (c, d) of
+    a block, and s^(d + 1) on T^(d + 1) where c = r, s = 2 / dt. L, the
+    weighted sum from 0.0, highest derivative first, over the table of T_k,
+    T_k', T_k'' at the nodes, gives the block's columns L T_K - W^T (L T_S)
+    and takes a^T (L T_S) off rhs_r, which starts at 0.0. The W^T and a^T
+    products are made over every node at once, as the assembly makes them,
+    since a product's rounding depends on its shape. Rows are
+    equation-major.
+    """
+    dmap, x, a, blocks, rows = per_node_setup(problem, cfg)
+    m, n = cfg.m, cfg.N
+    grid = eval_basis_grid(m, 2, x)
+    s = 2.0 / dmap.delta_t
+    elims = [_eliminate(cs, m) for cs, _ in blocks]
+    cols = sum(len(K) for _, K, _, _ in elims)
+    M = np.zeros((len(rows) * n, cols))
+    rhs = np.zeros(len(rows) * n)
+    for i, r in enumerate(rows):
+        col = 0
+        for (_, feeds), (S, K, W, av) in zip(blocks, elims):
+            L = np.empty((m + 1, n))
+            for j in range(n):
+                terms = [(d, -a[j][r, c] * s ** d) for c, d in feeds]
+                terms += [(d + 1, s ** (d + 1)) for c, d in feeds if c == r]
+                top = max(d for d, _ in terms)
+                w = [0.0] * (top + 1)
+                for d, v in terms:
+                    w[top - d] += v
+                total = 0.0
+                for d in range(top, -1, -1):
+                    total = total + w[top - d] * grid[d, :, j]
+                L[:, j] = total
+            LS = np.ascontiguousarray(L[S])
+            M[i * n:(i + 1) * n, col:col + len(K)] = (L[K] - W.T @ LS).T
+            rhs[i * n:(i + 1) * n] -= av @ LS
+            col += len(K)
+    return M, rhs
+
+
+def basis_products_from_values(dmap, Q, x):
+    """(phi, p) of a block and their first two t-derivatives over the nodes:
+    the series s^d D^d Q, s = 2 / dt, of each order d summed against the
+    value table T_0..T_m, one product per order."""
+    T = eval_basis_grid(len(Q) - 1, 0, x)[0]
+    DQ = [Q, derivative_series(Q)]
+    DQ.append(derivative_series(DQ[1]))
+    s = 2.0 / dmap.delta_t
+    return np.stack([(q * s ** d).T @ T for d, q in enumerate(DQ)])
+
+
+def basis_products_from_grid(dmap, Q, x):
+    """The same from the t-scaled derivative grid: Q^T times T_k, 2/dt T_k'
+    and 4/dt^2 T_k'' at the nodes."""
+    grid = eval_basis_grid(len(Q) - 1, 2, x)
+    dmap.dydx_to_dydt(grid[1], out=grid[1])
+    dmap.d2ydx2_to_d2ydt2(grid[2], out=grid[2])
+    return Q.T @ grid
+
+
+def assemble_by_products(problem, cfg, products):
+    """M and rhs from each block's (phi, p) and their t-derivatives at the
+    nodes: an entry is the sum of -A[r, c] z_c over the block's feeds, c
+    ascending, plus z_r' where the block feeds row r, and rhs_r is
+    -z_r' + sum_c A[r, c] z_c of the particular parts; rows are
+    equation-major."""
+    dmap, x, a, blocks, rows = per_node_setup(problem, cfg)
+    F = [products(dmap, coefficient_map(_eliminate(cs, cfg.m), cfg.m), x) for cs, _ in blocks]
     cols = sum(len(f[0]) - 1 for f in F)
     M = np.zeros((len(rows) * cfg.N, cols))
     rhs = np.zeros(len(rows) * cfg.N)
@@ -341,25 +401,36 @@ def test_assembly_bit_identical_to_per_node_loop(tmp_path, kind, nodes):
             assert M.flags.f_contiguous
             assert_bit_identical(M, M_ref)
             assert_bit_identical(rhs, rhs_ref)
+    # on [0, 2] the t-derivative factor s = 2 / dt is 1; on [0, 1.5] it
+    # weights T' and T'' by its powers
+    cfg = CollocationConfig(m=17, N=200, nodes=nodes)
+    problem = replace(problem, tf=1.5)
+    M, rhs, _ = assemble_state_costate(problem, cfg)
+    M_ref, rhs_ref = assemble_per_node(problem, cfg)
+    assert_bit_identical(M, M_ref)
+    assert_bit_identical(rhs, rhs_ref)
 
 
 @pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
 @pytest.mark.parametrize("kind", ["general", "scalar_numpy"])
 def test_value_table_agrees_with_the_derivative_grid(kind, nodes):
-    # the derivatives as series summed against T_k against the t-scaled
-    # derivative grid: within 2 m eps of each column's maximum (measured
-    # over every kind of A: at most 0.84 m eps, at m = 30 and N = 1001 on
-    # Lobatto nodes). Two kinds of A run here: the general path and a
-    # time-varying companion form
+    # the assembly on the kept table of T_k, T_k', T_k'' against the two
+    # routes the block assembly took before it: the derivatives as series
+    # summed against the values T_k, and the t-scaled derivative grid, both
+    # at the same nodes x. Within 2 m eps of each column's maximum (the
+    # series route measured at most 0.84 m eps against the grid, at m = 30
+    # and N = 1001 on Lobatto nodes). Two kinds of A run here: the general
+    # path and a time-varying companion form
     problem = A_KINDS[kind](None)
     for m in (2, 17, 25, 30):
         for n in (m + 1, 1001):
             cfg = CollocationConfig(m=m, N=n, nodes=nodes)
-            M, rhs, _ = assemble_state_costate(problem, cfg)
-            ref = np.column_stack(assemble_per_node(problem, cfg, basis_products_from_grid))
-            scale = np.max(np.abs(ref), axis=0)
-            err = np.max(np.abs(np.column_stack([M, rhs]) - ref), axis=0)
-            assert np.all(err <= 2.0 * m * np.finfo(float).eps * scale), (m, n)
+            got = np.column_stack(assemble_state_costate(problem, cfg)[:2])
+            for products in (basis_products_from_values, basis_products_from_grid):
+                ref = np.column_stack(assemble_by_products(problem, cfg, products))
+                scale = np.max(np.abs(ref), axis=0)
+                err = np.max(np.abs(got - ref), axis=0)
+                assert np.all(err <= 2.0 * m * np.finfo(float).eps * scale), (m, n, products)
 
 
 def test_parsed_matrices_evaluate_over_an_array(tmp_path):
@@ -417,27 +488,39 @@ def test_constant_looking_block_falls_back_to_per_node(reduce, probes):
 
 def test_one_basis_evaluation_per_point_set(monkeypatch):
     import tfc_solve.control as control
+    import tfc_solve.solver as solver
 
-    orders = []
+    orders, series = [], []
 
     def grid(m_max, d_max, x):
         orders.append((d_max, np.size(x)))
         return eval_basis_grid(m_max, d_max, x)
 
-    monkeypatch.setattr(control, "eval_basis_grid", grid)
-    sol = solve_state_costate(lqr_problem(), CollocationConfig(m=10, N=50))
-    # the nodes only, values alone: the end values are closed forms
-    # (`endpoint_rows`), and the derivatives come from the series
-    # (`derivative_series`)
-    assert orders == [(0, 50)]
-    orders.clear()
-    sol.state(np.linspace(0.0, 2.0, 7))
-    sol.costate(np.linspace(0.0, 2.0, 7))
-    # plain series, summed by Clenshaw's recurrence: x2's is the derivative
-    # of x1's
-    assert orders == []
-    solve_state_costate(diagonal_problem(), CollocationConfig(m=10, N=50))
-    assert orders == [(0, 50)]
+    def spy(c):
+        series.append(np.shape(c))
+        return derivative_series(c)
+
+    monkeypatch.setattr(solver, "eval_basis_grid", grid)
+    monkeypatch.setattr(solver, "_node_tables", {})
+    monkeypatch.setattr(control, "derivative_series", spy)
+    cfg = CollocationConfig(m=10, N=50)
+    solve_state_costate(lqr_problem(), cfg)
+    # the first call builds the node table the scalar solver keeps
+    assert orders == [(2, 50)]
+    for problem in (lqr_problem(), diagonal_problem()):
+        orders.clear()
+        series.clear()
+        M = assemble_state_costate(problem, cfg)[0]
+        # a warm call reads the kept table: no basis table, and no
+        # derivative series, builds its system
+        assert orders == [] and series == []
+        sol = solve_state_costate(problem, cfg)
+        sol.state(np.linspace(0.0, 2.0, 7))
+        sol.costate(np.linspace(0.0, 2.0, 7))
+        # plain series, summed by Clenshaw's recurrence: x2's is the
+        # derivative of x1's in companion form
+        assert orders == []
+        assert series == ([(cfg.m + 1,)] if M.shape[0] == 3 * cfg.N else [])
 
 
 @pytest.mark.parametrize("problem", [lqr_problem, diagonal_problem])
@@ -620,9 +703,9 @@ def test_general_path_agrees_with_companion_path_on_lqr_family(seed):
     problem = lqr_family(seed)
     cfg = CollocationConfig(m=24, N=1000)
     dmap = DomainMap(problem.t0, problem.tf)
-    tnodes = dmap.to_t(dmap.nodes(cfg.N))
+    x, grid = _node_table(dmap, cfg.N, cfg.nodes, cfg.m)
     M, rhs, coefficients = _block_system(
-        dmap, tnodes, _dynamics(problem, tnodes), cfg.m,
+        dmap, grid, _dynamics(problem, dmap.to_t(x)),
         *_general_embedding(dmap, problem.x0, problem.lambda_f))
     assert M.shape == (4 * cfg.N, 4 * cfg.m)
     assert assemble_state_costate(problem, cfg)[0].shape == (3 * cfg.N, 3 * cfg.m - 1)
@@ -631,3 +714,30 @@ def test_general_path_agrees_with_companion_path_on_lqr_family(seed):
     t = np.linspace(0.0, 2.0, 1001)
     h = eval_basis_grid(cfg.m, 0, _x_at(dmap, t))[0]
     assert np.max(np.abs(general @ h - np.vstack([sol.state(t), sol.costate(t)]))) <= 1e-12
+
+
+@pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
+def test_kept_table_does_not_depend_on_call_order(monkeypatch, nodes):
+    # a scalar solve at m = 30 grows the (N, node kind) table a control
+    # solve at m = 17 built, or builds it first; either way both read the
+    # bits of their own m
+    import tfc_solve.solver as solver
+
+    entry = CATALOG["eq19"]
+    control_cfg = CollocationConfig(m=17, N=200, nodes=nodes)
+    scalar_cfg = CollocationConfig(m=30, N=200, nodes=nodes)
+
+    def control():
+        return solve_state_costate(scalar_only_problem(), control_cfg).coefficients
+
+    def scalar():
+        return solve_problem(entry.ode(), entry.constraint_triples(), scalar_cfg).xi
+
+    monkeypatch.setattr(solver, "_node_tables", {})
+    first = control()
+    xi = scalar()
+    assert_bit_identical(control(), first)
+    monkeypatch.setattr(solver, "_node_tables", {})
+    assert_bit_identical(scalar(), xi)
+    assert_bit_identical(control(), first)
+    assert_bit_identical(scalar(), xi)

@@ -99,12 +99,15 @@ def test_state_costate_builds_the_block_system_in_place():
     assert peak < 2.2 * system
 
 
-def test_state_costate_assembles_from_one_value_table():
-    # in units of the 3N x (3m - 1) system and its right-hand side: M (1.0),
-    # A and -A (0.18), the value table T_0..T_m (0.12) and one block's
-    # t-derivative products (0.33) give a peak of 1.90; a t-scaled
-    # (3, m + 1, N) derivative grid, with a block's products made while the
-    # last block's were alive, took it to 2.27
+def test_state_costate_reads_the_kept_node_table():
+    # in units of the 3N x (3m - 1) system and its right-hand side, with the
+    # node table kept from the first call: M (1.0) with A (0.09) and one
+    # (equation, block) pair's products, such as W^T (L T_S) (0.11), peak at
+    # 1.39 in the assembly, and M with the kernel's QR of a block of rows at
+    # 1.41; a value table T_0..T_m of its own and each block's
+    # t-derivative products took it to 1.90, and a t-scaled (3, m + 1, N)
+    # derivative grid, with a block's products made while the last block's
+    # were alive, to 2.27
     cfg = CollocationConfig(m=20, N=1000)
     system = 3 * cfg.N * (3 * cfg.m - 1) * 8 + 3 * cfg.N * 8
     peak = transient_peak(lambda: solve_state_costate(double_integrator(), cfg))

@@ -306,6 +306,19 @@ def test_solve_ls_rejects_non_finite_input(name, bad):
         solve_ls(args["P"], args["lam"], args["weights"])
 
 
+def test_solve_ls_scales_columns_past_the_square_root_of_the_largest_double():
+    # a column's 2-norm squares its entries, which overflow past about
+    # 1.3e154; the scale of such a column is taken from the column divided
+    # by its largest entry, so xi is that of the unscaled solve
+    rng = np.random.default_rng(8)
+    P = rng.normal(size=(20, 3)) * 1e160
+    xi = np.array([1.0, -2.0, 0.5])
+    sol = solve_ls(P, P @ xi)
+    assert np.max(np.abs(sol.xi - xi)) <= 1e-13
+    assert np.isfinite(sol.cond_PtP) and not sol.rank_deficient
+    assert np.max(np.abs(solve_ls(P, P @ xi, scaling="none").xi - xi)) <= 1e-13
+
+
 def test_scaling_does_not_change_solution():
     ode = _eq19()
     c = CATALOG["eq19"].constraint_triples()

@@ -139,12 +139,12 @@ def endpoint_rows(m_max, orders, endpoints):
     """Closed-form T_k^(d)(e) for k = 0..m_max, one row per (d, e) pair.
 
     d is 0, 1 or 2 and e is -1 or +1 (Mason & Handscomb, Chebyshev
-    Polynomials, 2003, section 2.4): at +1, (1, k^2, k^2 (k^2 - 1) / 3); at
-    -1 the same times (-1)^(k + d). Returns shape (len(orders), m_max + 1).
-    The values are integers, exact while k^2 (k^2 - 1) / 3 < 2^53, and carry
-    the recurrence's bits, its +0.0 included.
+    Polynomials, 2003, section 2.4): at +1, prod_{j<d} (k^2 - j^2) / (2j + 1),
+    multiplied and divided in turn, each step the integer T_k^(j+1)(1) and
+    exact below 2^53; at -1 the same times (-1)^(k + d). Returns shape
+    (len(orders), m_max + 1), with the recurrence's bits, its +0.0 included.
     """
-    rows = np.empty((len(orders), m_max + 1))
+    rows = np.ones((len(orders), m_max + 1))
     k2 = np.arange(m_max + 1.0)
     k2 *= k2
     for row, d, e in zip(rows, orders, endpoints):
@@ -153,13 +153,9 @@ def endpoint_rows(m_max, orders, endpoints):
         if d not in (0, 1, 2):
             raise ValueError("derivative order must be 0, 1 or 2")
         d = int(d)
-        if d == 0:
-            row[:] = 1.0
-        elif d == 1:
-            row[:] = k2
-        else:
-            np.multiply(k2, k2 - 1.0, out=row)
-            row /= 3.0
+        for j in range(d):
+            row *= k2 - j * j
+            row /= 2 * j + 1
         if e < 0.0:
             row[1 - d % 2::2] *= -1.0  # the k with k + d odd
     # + 0.0 turns the -0.0 of k^2 (k^2 - 1) / 3 at k = 0, and of a flipped
@@ -169,12 +165,8 @@ def endpoint_rows(m_max, orders, endpoints):
 
 
 def endpoint_values(k, endpoint):
-    """Closed-form (T_k, T_k', T_k'') at x = -1 or x = +1.
-
-    At +1: (1, k^2, k^2 (k^2 - 1) / 3); at -1 the same with alternating signs.
-    These are the values of `endpoint_rows`, from which the solver builds its
-    constraint rows.
-    """
+    """Closed-form (T_k, T_k', T_k'') at x = -1 or x = +1: column k of
+    `endpoint_rows`, from which the solver builds its constraint rows."""
     if k < 0:
         raise ValueError("k must be >= 0")
     k = int(k)

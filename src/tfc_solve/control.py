@@ -23,8 +23,8 @@ embedding is used is read off A at the nodes:
 Each costate component carries its terminal value (S = {0} at x = +1) in
 both. The system is assembled as the scalar solver's is
 (`solver._collocate`), over the same kept node table of T_k, T_k', T_k''
-(`solver._node_table`): a t-derivative is s = 2 / (tf - t0) times an
-x-derivative, so each equation puts A's entries, times powers of s, on the
+(`solver._node_table`): each equation puts A's entries, times the map's
+factor for a d-th t-derivative (`DomainMap.derivative_factor`), on the
 table's rows. A is evaluated at the table's nodes mapped to t. The solution
 is one Chebyshev series per component of z; `state` and `costate` sum them
 by Clenshaw's recurrence (`chebyshev.clenshaw`).
@@ -171,29 +171,28 @@ def _general_embedding(dmap, x0, lf):
     return state + _costate_blocks(lf), (0, 1, 2, 3)
 
 
-def _weights(A, r, feeds, s):
-    """Equation r's weights on one block's T^(D), ..., T', T. The z_c of a
-    feed (c, d) is s^d times the series' d-th x-derivative: -A[r, c] z_c puts
-    -A[r, c] s^d on T^(d), and z_r' puts s^(d + 1) on T^(d + 1) where c = r."""
+def _weights(dmap, A, r, feeds):
+    """Equation r's weights on one block's T^(D), ..., T', T, with g_d the
+    map's `derivative_factor(d)`: a feed (c, d) puts -A[r, c] g_d on T^(d),
+    and, where c = r, z_r' puts g_(d + 1) on T^(d + 1)."""
     top = max(d + (c == r) for c, d in feeds)
     w = np.zeros((top + 1, A.shape[-1]))
     for c, d in feeds:
-        w[top - d] -= A[r, c] * s ** d
+        w[top - d] -= A[r, c] * dmap.derivative_factor(d)
         if c == r:
-            w[top - d - 1] += s ** (d + 1)
+            w[top - d - 1] += dmap.derivative_factor(d + 1)
     return w
 
 
 def _block_system(dmap, grid, A, blocks, rows):
     """M xi = rhs: z_r' - (A z)_r = 0 for r in rows at every node, built by
-    `solver._collocate` over the node table grid with s = 2 / dt. Each block
-    is one series over T_0..T_m, and each of its feeds (c, d) makes z_c that
-    series' d-th t-derivative. Rows are equation-major, columns the blocks'
-    xi in order. Also returns the map from a solution xi to the (4, m + 1)
-    coefficients of z.
+    `solver._collocate` over the node table grid. Each block is one series
+    over T_0..T_m, and each of its feeds (c, d) makes z_c that series' d-th
+    t-derivative. Rows are equation-major, columns the blocks' xi in order.
+    Also returns the map from a solution xi to the (4, m + 1) coefficients
+    of z.
     """
     m = grid.shape[1] - 1
-    s = 2.0 / dmap.delta_t
     elims = [_eliminate(constraints, m) for constraints, _ in blocks]
 
     def coefficients(xi):
@@ -202,10 +201,10 @@ def _block_system(dmap, grid, A, blocks, rows):
         for (_, feeds), elim, xi_b in zip(blocks, elims, np.split(xi, widths)):
             c = _series(elim, m, xi_b)
             for comp, d in feeds:  # d is 0 or 1
-                out[comp] = dmap.dydx_to_dydt(derivative_series(c)) if d else c
+                out[comp] = dmap.to_t_derivative(d, derivative_series(c) if d else c)
         return out
 
-    weights = [[_weights(A, r, feeds, s) for _, feeds in blocks] for r in rows]
+    weights = [[_weights(dmap, A, r, feeds) for _, feeds in blocks] for r in rows]
     return *_collocate(grid, elims, weights, 0.0), coefficients
 
 

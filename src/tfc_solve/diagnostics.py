@@ -61,11 +61,11 @@ def classify(rows, tol_conv=DEFAULT_TOL_CONV, tol_fail=DEFAULT_TOL_FAIL,
     return INDETERMINATE
 
 
-def make_report(rows, **thresholds):
+def make_report(rows):
     ok = [r for r in rows if r.error is None]
     best_m = min(ok, key=lambda r: r.residual_std).m if ok else -1
     return SolveReport(
         per_m=tuple(rows),
-        classification=classify(rows, **thresholds),
+        classification=classify(rows),
         best_m=best_m,
     )

@@ -1,8 +1,7 @@
 """Affine mapping between physical time t in [t1, t2] and x in [-1, 1].
 
-First and second t-derivatives pick up factors 2/dt and 4/dt^2 under the
-map, so derivative-valued constraints must be rescaled before they are
-embedded in x-domain constrained expressions.
+A d-th t-derivative is (2/dt)^d times the d-th x-derivative. `DomainMap` is
+the one module that applies this, to values, operator weights and constraints.
 """
 
 from dataclasses import dataclass, field
@@ -31,23 +30,19 @@ class DomainMap:
     def to_t(self, x):
         return self.t1 + (np.asarray(x, dtype=float) + 1.0) * self.delta_t / 2.0
 
+    def derivative_factor(self, d):
+        """2^d / dt^d, the t-derivative's factor on a d-th x-derivative."""
+        return 2.0**d / self.delta_t**d
+
+    def to_t_derivative(self, d, values, out=None):
+        """(values 2^d) / dt^d, written to out when given (values allowed)."""
+        return np.divide(np.multiply(values, 2.0**d, out=out), self.delta_t**d, out=out)
+
     def scale_derivative_constraint(self, order, value_t):
-        """Convert a t-domain constraint value to its x-domain equivalent."""
-        if order == 0:
-            return float(value_t)
-        if order == 1:
-            return float(value_t) * self.delta_t / 2.0
-        if order == 2:
-            return float(value_t) * self.delta_t**2 / 4.0
+        """A t-domain constraint value in x, value_t dt^order / 2^order."""
+        if order in (0, 1, 2):
+            return float(value_t) * self.delta_t**order / 2.0**order
         raise ValueError(f"derivative order {order} not supported (solver core is second order)")
-
-    def dydx_to_dydt(self, dydx, out=None):
-        """dy/dt from dy/dx, written to out when given (dydx allowed)."""
-        return np.divide(np.multiply(dydx, 2.0, out=out), self.delta_t, out=out)
-
-    def d2ydx2_to_d2ydt2(self, d2ydx2, out=None):
-        """d2y/dt2 from d2y/dx2, written to out when given (d2ydx2 allowed)."""
-        return np.divide(np.multiply(d2ydx2, 4.0, out=out), self.delta_t**2, out=out)
 
     def nodes(self, n, kind="uniform"):
         """Collocation nodes on [-1, 1], endpoints included."""

@@ -52,10 +52,12 @@ class MappedODE:
         return tuple(out)
 
     def operator_weights(self, coeffs):
-        """The (3, len(x)) weights w = ((4/dt^2) f2, (2/dt) f1, f0) of the
-        mapped operator's terms y'', y', y, from coefficients_at's arrays."""
-        dt = self.map.delta_t
-        return np.stack(((4.0 / dt**2) * coeffs[0], (2.0 / dt) * coeffs[1], coeffs[2]))
+        """The (3, len(x)) weights ((4/dt^2) f2, (2/dt) f1, f0) of the mapped
+        operator's terms y'', y', y: each f_d times `map.derivative_factor(d)`."""
+        w = np.empty((3,) + np.shape(coeffs[0]))
+        for d, f, row in zip((2, 1, 0), coeffs, w):
+            np.multiply(self.map.derivative_factor(d), f, out=row)
+        return w
 
     def homogeneous_operator(self, x, y, yp, ypp, coeffs=None):
         """The f-free residual (w[0] y'' + w[1] y') + w[2] y, w the operator weights."""

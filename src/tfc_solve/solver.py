@@ -67,7 +67,7 @@ _node_tables = {}
 _node_lock = threading.Lock()
 
 
-def _check_kinds(scaling, nodes):
+def _check_kinds(scaling, nodes="uniform"):
     if scaling not in ("column_norm", "none"):
         raise ValueError(f"unknown scaling {scaling!r}")
     if nodes not in NODE_KINDS:
@@ -229,11 +229,14 @@ def _factor(P, lam, weights, scaling):
     without a pass over P. s_j is the 2-norm of R's column j, which is the
     (weighted) norm of P's; a zero column keeps s_j = 1.
     """
+    _check_kinds(scaling)
     _require_finite("P", P)
     _require_finite("lam", lam)
     rows, n = P.shape
     if weights is not None:
         _require_finite("weights", weights)
+        if np.less(weights, 0.0).any():
+            raise ValueError(f"weights is negative at row {np.argmax(np.less(weights, 0.0))}")
     view = None if weights is not None else _one_array(P, lam)
     if view is None:
         sw = np.broadcast_to(1.0, (rows, 1)) if weights is None else np.sqrt(weights)[:, None]
@@ -330,8 +333,12 @@ def _residual_statistics(P, Xi, lam, scratch):
     abs_mean = np.add.reduce(dev, axis=0) / rows
     mean = np.add.reduce(r, axis=0) / rows
     np.subtract(r, mean, out=dev)
-    dev *= dev
-    return r, mean, abs_mean, np.sqrt(np.add.reduce(dev, axis=0) / rows)
+    with np.errstate(over="ignore"):
+        dev *= dev
+        std = np.sqrt(np.add.reduce(dev, axis=0) / rows)
+    for j in np.isinf(std).nonzero()[0]:  # a square past about 1.3e154 overflows; hypot does not
+        std[j] = np.hypot.reduce(r[:, j] - mean[j]) / np.sqrt(rows)
+    return r, mean, abs_mean, std
 
 
 def solve_ls(P, lam, weights=None, scaling="column_norm"):
@@ -342,7 +349,7 @@ def solve_ls(P, lam, weights=None, scaling="column_norm"):
     blocks of rows, whose triangle R is then column-scaled; xi is the
     full-SVD xi of `_singular_values` where the cut-off drops a value, else
     the QR least-squares solution (Bjorck 1996), a solve on R[:n, :n].
-    Raises ValueError on a non-finite P, lambda or weight.
+    Raises ValueError on an unknown scaling, a non-finite input or a negative weight.
     """
     P = np.asarray(P, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -407,7 +414,7 @@ def _series(elim, m, xi):
 
 
 def _make_solution(elim, mapped, m, xi):
-    """The `_series` of xi as a t-callable."""
+    """The `_series` of xi as a t-callable, each derivative taken to t by the map."""
     c = _series(elim, m, xi)
     dc = derivative_series(c)
     series = np.stack([c, dc, derivative_series(dc)])
@@ -415,8 +422,8 @@ def _make_solution(elim, mapped, m, xi):
     def solution(t):
         """(y, ydot, yddot) in the t-domain at times t within [t1, t2]."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        y, yp, ypp = clenshaw(series, _clip_to_interval(mapped.map.to_x(t)))
-        return y, mapped.map.dydx_to_dydt(yp, out=yp), mapped.map.d2ydx2_to_d2ydt2(ypp, out=ypp)
+        y, *dy = clenshaw(series, _clip_to_interval(mapped.map.to_x(t)))
+        return y, *(mapped.map.to_t_derivative(d, v, out=v) for d, v in enumerate(dy, 1))
 
     return solution
 
@@ -426,7 +433,7 @@ _ROW_ERRORS = (TfcSolveError, np.linalg.LinAlgError, ValueError)
 
 
 def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
-            scaling="column_norm", **thresholds):
+            scaling="column_norm"):
     """Solve for each m and classify the sweep.
 
     The pivots S are the same for every m >= max S, so the kept columns of a
@@ -488,4 +495,4 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
             m=m, residual_mean=np.nan, residual_abs_mean=np.nan,
             residual_std=np.nan, cond_PtP=np.nan, rank_deficient=False,
             error=errors[m]))
-    return diagnostics.make_report(rows, **thresholds)
+    return diagnostics.make_report(rows)

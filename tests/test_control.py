@@ -278,8 +278,8 @@ def basis_products_from_grid(dmap, Q, x):
     """The same from the t-scaled derivative grid: Q^T times T_k, 2/dt T_k'
     and 4/dt^2 T_k'' at the nodes."""
     grid = eval_basis_grid(len(Q) - 1, 2, x)
-    dmap.dydx_to_dydt(grid[1], out=grid[1])
-    dmap.d2ydx2_to_d2ydt2(grid[2], out=grid[2])
+    dmap.to_t_derivative(1, grid[1], out=grid[1])
+    dmap.to_t_derivative(2, grid[2], out=grid[2])
     return Q.T @ grid
 
 

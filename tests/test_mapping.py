@@ -48,7 +48,53 @@ def test_chain_rule_identity():
     dydt = (y(t + h) - y(t - h)) / (2 * h)
     hx = 1e-6
     dydx = (y(dm.to_t(x + hx)) - y(dm.to_t(x - hx))) / (2 * hx)
-    assert np.max(np.abs(dydt - dm.dydx_to_dydt(dydx))) <= 1e-8 * np.max(np.abs(dydt))
+    assert np.max(np.abs(dydt - dm.to_t_derivative(1, dydx))) <= 1e-8 * np.max(np.abs(dydt))
+
+
+# The forms the three DomainMap methods replace, as their callers rounded
+# them: the solution callable's y', y'' (y as it was), the operator weights
+# on f2, f1 (f0 as it was) and the t-to-x constraint values.
+def _old_values(d, dt, v, out=None):
+    if d == 0:
+        return v
+    if d == 1:
+        return np.divide(np.multiply(v, 2.0, out=out), dt, out=out)
+    return np.divide(np.multiply(v, 4.0, out=out), dt**2, out=out)
+
+
+def _old_weight(d, dt, f):
+    return (f, (2.0 / dt) * f, (4.0 / dt**2) * f)[d]
+
+
+def _old_constraint(d, dt, v):
+    return (float(v), float(v) * dt / 2.0, float(v) * dt**2 / 4.0)[d]
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("dt", [1.5, 3.0, np.pi, 2.0 * np.pi])
+def test_derivative_scaling_bit_identical_to_the_forms_it_replaces(dt):
+    dm = DomainMap(0.0, dt)
+    assert dm.delta_t == dt
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(64) * 10.0 ** rng.integers(-200, 200, 64)
+    v[:2] = 0.0, -0.0  # a zero keeps its sign too
+    for d in (0, 1, 2):
+        assert _bits(dm.to_t_derivative(d, v)) == _bits(_old_values(d, dt, v))
+        assert _bits(dm.derivative_factor(d) * v) == _bits(_old_weight(d, dt, v))
+        for x in (*v[:8], 0.1, -7.25):
+            assert _bits(dm.to_t_derivative(d, x)) == _bits(_old_values(d, dt, x))
+            assert _bits(dm.scale_derivative_constraint(d, x)) == _bits(_old_constraint(d, dt, x))
+        # out= may be the values themselves or another buffer
+        inplace, buf = v.copy(), np.empty_like(v)
+        assert dm.to_t_derivative(d, inplace, out=inplace) is inplace
+        assert dm.to_t_derivative(d, v, out=buf) is buf
+        assert _bits(inplace) == _bits(buf) == _bits(_old_values(d, dt, v))
+    for order in (3, -1):
+        with pytest.raises(ValueError, match="not supported"):
+            dm.scale_derivative_constraint(order, 1.0)
 
 
 def test_nodes_ordering_and_endpoints():

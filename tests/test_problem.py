@@ -86,7 +86,7 @@ def test_implied_initial_second_derivative():
     dy_x = 0.0 * mapped.map.delta_t / 2.0
     ddy_x = implied_initial_value(mapped, {"y": 1.0, "dy_x": dy_x})
     assert ddy_x == pytest.approx(-6.75, abs=1e-12)
-    assert mapped.map.d2ydx2_to_d2ydt2(ddy_x) == pytest.approx(-3.0, abs=1e-12)
+    assert mapped.map.to_t_derivative(2, ddy_x) == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_implied_initial_value_and_slope():

@@ -319,6 +319,46 @@ def test_solve_ls_scales_columns_past_the_square_root_of_the_largest_double():
     assert np.max(np.abs(solve_ls(P, P @ xi, scaling="none").xi - xi)) <= 1e-13
 
 
+def test_solve_ls_residual_std_past_the_square_root_of_the_largest_double():
+    # a squared residual overflows past about 1.3e154; the std of such a
+    # column is taken again from hypot's running norm of its deviations
+    rng = np.random.default_rng(8)
+    P = rng.normal(size=(20, 3)) * 1e160
+    lam = P @ np.array([1.0, -2.0, 0.5]) + 1e157 * rng.normal(size=20)
+    sol = solve_ls(P, lam)
+    assert sol.cond_PtP < 2.0
+    r = P @ sol.xi - lam
+    assert np.array_equal(sol.residuals, r)
+    assert sol.residual_std == pytest.approx(1e157 * np.std(r / 1e157), rel=1e-14)
+    assert sol.residual_mean == pytest.approx(1e157 * np.mean(r / 1e157), rel=1e-14)
+
+
+def test_solve_ls_refuses_an_unknown_scaling():
+    # columns 1, 1e6 and 1e-6 apart: a misspelt scaling was solved as "none"
+    rng = np.random.default_rng(3)
+    P = rng.normal(size=(20, 3)) * np.array([1.0, 1e6, 1e-6])
+    lam = rng.normal(size=20)
+    with pytest.raises(ValueError, match="^unknown scaling 'colum_norm'$"):
+        solve_ls(P, lam, scaling="colum_norm")
+    assert solve_ls(P, lam, scaling="column_norm").cond_PtP < 1e3
+    assert solve_ls(P, lam, scaling="none").cond_PtP > 1e20
+
+
+def test_solve_ls_refuses_negative_weights():
+    rng = np.random.default_rng(3)
+    P, lam = rng.normal(size=(20, 3)), rng.normal(size=20)
+    weights = np.ones(20)
+    weights[[7, 12]] = -0.5
+    with pytest.raises(ValueError, match="^weights is negative at row 7$"):
+        solve_ls(P, lam, weights)
+    # a zero weight, of either sign, drops its row from the fit
+    weights[[7, 12]] = 0.0, -0.0
+    kept = np.ones(20, dtype=bool)
+    kept[[7, 12]] = False
+    assert solve_ls(P, lam, weights).xi == pytest.approx(solve_ls(P[kept], lam[kept]).xi,
+                                                         rel=1e-13)
+
+
 def test_scaling_does_not_change_solution():
     ode = _eq19()
     c = CATALOG["eq19"].constraint_triples()
@@ -1091,7 +1131,7 @@ def _beta_route(ode, triples, cfg):
         x = _clip_to_interval(mapped.map.to_x(t))
         g = eval_basis_grid(cfg.m, 2, x)
         y, yp, ypp = expr.eval(x, c @ g[0], c @ g[1], c @ g[2], rows @ c)
-        return y, mapped.map.dydx_to_dydt(yp), mapped.map.d2ydx2_to_d2ydt2(ypp)
+        return y, mapped.map.to_t_derivative(1, yp), mapped.map.to_t_derivative(2, ypp)
 
     return solution
 

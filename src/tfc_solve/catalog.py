@@ -1,6 +1,7 @@
 """Built-in test problems with known behavior.
 
-Coefficient functions are defined through the expression parser so that a
+An entry's ODE and constraints are read from its own problem file
+(`to_problem_file`) by `problem.scalar_problem`, the CLI's loader, so a
 catalog entry and its serialized problem file evaluate identically.
 """
 
@@ -11,8 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diagnostics
-from .exprparse import parse_expression
-from .problem import LinearODE2
+from .problem import scalar_problem
 
 
 @dataclass(frozen=True)
@@ -27,20 +27,10 @@ class CatalogProblem:
     shoot_bracket: Optional[tuple] = None
 
     def ode(self):
-        t1, t2 = self.interval
-        return LinearODE2(
-            f2=parse_expression(self.coefficients["f2"]),
-            f1=parse_expression(self.coefficients["f1"]),
-            f0=parse_expression(self.coefficients["f0"]),
-            f=parse_expression(self.coefficients["f"]),
-            t1=t1, t2=t2,
-        )
+        return scalar_problem(self.to_problem_file())[0]
 
     def constraint_triples(self):
-        t1, t2 = self.interval
-        at = {"t1": t1, "t2": t2}
-        return [(o, at[loc] if isinstance(loc, str) else loc, v)
-                for o, loc, v in self.constraints]
+        return scalar_problem(self.to_problem_file())[1]
 
     def to_problem_file(self):
         kind = "ivp" if all(loc == "t1" for _, loc, _ in self.constraints) else "bvp"

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import catalog, diagnostics
 from .control import StateCostateProblem, solve_state_costate
-from .errors import ParseError, TfcSolveError
-from .exprparse import parse_expression
-from .problem import LinearODE2
+from .errors import ParseError, ProblemFileError, TfcSolveError
+from .problem import compile_coefficient, interval_of, scalar_problem
 from .solver import CollocationConfig, m_sweep, solve_problem
 
 EXIT_OK = 0
@@ -33,10 +32,6 @@ EXIT_CONFIG = 3
 
 # subcommands whose --m is a range a..b; the others take one integer
 SWEEP_COMMANDS = ("sweep", "classify")
-
-
-class ProblemFileError(TfcSolveError):
-    pass
 
 
 def _fmt(v):
@@ -71,16 +66,6 @@ def write_json(path, payload):
     _atomic_write(path, text + "\n")
 
 
-def _compile_coefficient(name, src, t1, t2):
-    fn = parse_expression(src)
-    for t in (t1, t2):
-        v = float(fn(t))
-        if not np.isfinite(v):
-            raise ProblemFileError(
-                f"coefficient {name} = {src!r} is non-finite at t = {t}")
-    return fn
-
-
 class LoadedProblem:
     def __init__(self, data, catalog_id=None):
         self.catalog_id = catalog_id
@@ -89,47 +74,16 @@ class LoadedProblem:
         self.kind = data.get("kind")
         if self.kind not in ("ivp", "bvp", "control"):
             raise ProblemFileError(f"unknown kind {self.kind!r}")
-        try:
-            t1, t2 = (float(v) for v in data["interval"])
-        except (KeyError, TypeError, ValueError):
-            raise ProblemFileError("interval must be [t1, t2]") from None
-        if not t2 > t1:
-            raise ProblemFileError("interval must satisfy t2 > t1")
-        self.interval = (t1, t2)
+        self.interval = interval_of(data)
         self.solver = dict(data.get("solver") or {})
+        for key in ("m", "N"):
+            v = self.solver.get(key)
+            if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+                raise ProblemFileError(f"solver.{key} must be an integer, not {v!r}")
         if self.kind == "control":
             self._load_control(data)
         else:
-            self._load_scalar(data)
-
-    def _load_scalar(self, data):
-        coeffs = data.get("coefficients") or {}
-        missing = {"f2", "f1", "f0", "f"} - set(coeffs)
-        if missing:
-            raise ProblemFileError(f"missing coefficients: {sorted(missing)}")
-        t1, t2 = self.interval
-        self.ode = LinearODE2(
-            f2=_compile_coefficient("f2", coeffs["f2"], t1, t2),
-            f1=_compile_coefficient("f1", coeffs["f1"], t1, t2),
-            f0=_compile_coefficient("f0", coeffs["f0"], t1, t2),
-            f=_compile_coefficient("f", coeffs["f"], t1, t2),
-            t1=t1, t2=t2,
-        )
-        raw = data.get("constraints") or []
-        if len(raw) != 2:
-            raise ProblemFileError("ivp/bvp problems take exactly 2 constraints")
-        at = {"t1": t1, "t2": t2}
-        self.constraints = []
-        for c in raw:
-            try:
-                loc = c["at"]
-                loc = at[loc] if isinstance(loc, str) else float(loc)
-                order, value = c["order"], float(c["value"])
-            except (KeyError, TypeError, ValueError):
-                raise ProblemFileError(f"bad constraint entry {c!r}") from None
-            if order not in (0, 1, 2):
-                raise ProblemFileError(f"constraint order {order!r} is not 0, 1 or 2")
-            self.constraints.append((int(order), loc, value))
+            self.ode, self.constraints = scalar_problem(data)
 
     def _load_control(self, data):
         t1, t2 = self.interval
@@ -139,9 +93,8 @@ class LoadedProblem:
             if (not isinstance(rows, list) or len(rows) != 2
                     or any(len(r) != 2 for r in rows)):
                 raise ProblemFileError(f"{name} must be a 2x2 expression matrix")
-            fns = [[_compile_coefficient(f"{name}[{i}][{j}]", rows[i][j], t1, t2)
-                    for j in range(2)] for i in range(2)]
-            blocks[name] = fns
+            blocks[name] = [[compile_coefficient(f"{name}[{i}][{j}]", rows[i][j], t1, t2)
+                             for j in range(2)] for i in range(2)]
         for key in ("x0", "lambda_f"):
             v = data.get(key)
             if not isinstance(v, list) or len(v) != 2:
@@ -170,11 +123,8 @@ class LoadedProblem:
             n = args.N
         if args.scaling is not None:
             scaling = args.scaling
-        weights = self.solver.get("weights")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
         try:
-            return CollocationConfig(m=int(m), N=int(n), weights=weights,
+            return CollocationConfig(m=int(m), N=int(n), weights=self.solver.get("weights"),
                                      scaling=scaling, nodes=args.nodes)
         except ValueError as exc:
             raise ProblemFileError(str(exc)) from None

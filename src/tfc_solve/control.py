@@ -9,8 +9,10 @@ is solved with the scalar solver's embedding (`embedding._eliminate`): a
 component's boundary values are constraint rows over T_0..T_m, and its
 series is c_K = xi, c_S = a - W xi, so the boundary values hold for any xi.
 The collocated dynamics residual is minimized by least squares over the xi
-of every block with the scalar solver's kernel, `solver.solve_ls`. Which
-embedding is used is read off A at the nodes:
+of every block with the scalar solver's kernel (`solver._solve`, which
+`solve_ls` wraps), handed the one [M | rhs] array `_collocate` builds, whose
+row blocks it factors as views when unweighted. Which embedding is used is
+read off A at the nodes:
 
 - companion form (A11 row 0 is (0, 1) and A12 row 0 is (0, 0) at every
   node, exactly): x1 carries both x0[0] and x0[1] (pivots S = {0, 1} at
@@ -39,7 +41,7 @@ from .chebyshev import _clip_to_interval, clenshaw, derivative_series
 from .embedding import ConstraintSpec, _eliminate
 from .errors import NodeSingularity
 from .mapping import DomainMap
-from .solver import CollocationConfig, _collocate, _node_table, _series, solve_ls
+from .solver import CollocationConfig, _collocate, _node_table, _series, _solve
 
 
 @dataclass(frozen=True)
@@ -185,12 +187,12 @@ def _weights(dmap, A, r, feeds):
 
 
 def _block_system(dmap, grid, A, blocks, rows):
-    """M xi = rhs: z_r' - (A z)_r = 0 for r in rows at every node, built by
-    `solver._collocate` over the node table grid. Each block is one series
-    over T_0..T_m, and each of its feeds (c, d) makes z_c that series' d-th
-    t-derivative. Rows are equation-major, columns the blocks' xi in order.
-    Also returns the map from a solution xi to the (4, m + 1) coefficients
-    of z.
+    """[M | rhs] of M xi = rhs: z_r' - (A z)_r = 0 for r in rows at every
+    node, built by `solver._collocate` over the node table grid. Each block
+    is one series over T_0..T_m, and each of its feeds (c, d) makes z_c that
+    series' d-th t-derivative. Rows are equation-major, columns the blocks'
+    xi in order. Also returns the map from a solution xi to the (4, m + 1)
+    coefficients of z.
     """
     m = grid.shape[1] - 1
     elims = [_eliminate(constraints, m) for constraints, _ in blocks]
@@ -205,14 +207,11 @@ def _block_system(dmap, grid, A, blocks, rows):
         return out
 
     weights = [[_weights(dmap, A, r, feeds) for _, feeds in blocks] for r in rows]
-    return *_collocate(grid, elims, weights, 0.0), coefficients
+    return _collocate(grid, elims, weights, 0.0), coefficients
 
 
-def assemble_state_costate(problem, cfg):
-    """The block system (M, rhs) over the collocation nodes, and the map from
-    its solution xi to the (4, m + 1) coefficients of x1, x2, lambda1 and
-    lambda2: 3N x (3m - 1) for companion-form A, 4N x 4m otherwise."""
-    dmap = DomainMap(problem.t0, problem.tf)
+def _system(dmap, problem, cfg):
+    """`assemble_state_costate`, with [M | rhs] as `_collocate`'s one array."""
     x, grid = _node_table(dmap, cfg.N, cfg.nodes, cfg.m)
     A = _dynamics(problem, dmap.to_t(x))
     x0, lf = (np.asarray(v, dtype=float) for v in (problem.x0, problem.lambda_f))
@@ -222,14 +221,22 @@ def assemble_state_costate(problem, cfg):
     return _block_system(dmap, grid, A, *embedding(dmap, x0, lf))
 
 
+def assemble_state_costate(problem, cfg):
+    """The block system (M, rhs) over the collocation nodes, and the map from
+    its solution xi to the (4, m + 1) coefficients of x1, x2, lambda1 and
+    lambda2: 3N x (3m - 1) for companion-form A, 4N x 4m otherwise."""
+    system, coefficients = _system(DomainMap(problem.t0, problem.tf), problem, cfg)
+    return system[:, :-1], system[:, -1], coefficients
+
+
 def solve_state_costate(problem, cfg=None):
     """LS solve of the block system; boundary values exact by construction."""
     cfg = cfg or CollocationConfig(m=17, N=200)
     dmap = DomainMap(problem.t0, problem.tf)
-    M, rhs, coefficients = assemble_state_costate(problem, cfg)
+    system, coefficients = _system(dmap, problem, cfg)
     # each node's weight applies to its row of every equation
-    weights = None if cfg.weights is None else np.tile(cfg.weights, len(rhs) // cfg.N)
-    sol = solve_ls(M, rhs, weights, cfg.scaling)
+    weights = None if cfg.weights is None else np.tile(cfg.weights, len(system) // cfg.N)
+    sol = _solve(system[:, :-1], system[:, -1], weights, cfg.scaling, system)
     coef = coefficients(sol.xi)
 
     def state(t):

@@ -35,6 +35,10 @@ class NoSignChange(TfcSolveError):
     """Shooting bracket does not straddle the target boundary value."""
 
 
+class ProblemFileError(TfcSolveError):
+    """A problem file, or a catalog entry's, that does not describe a problem."""
+
+
 class ParseError(TfcSolveError):
     """Expression syntax error, with byte offset and the expected token set."""
 

@@ -1,11 +1,12 @@
-"""Second-order linear ODE representation and its mapped-variable form.
+"""Second-order linear ODE representation, problem-file and mapped forms.
 
 The physical equation f2(t) y'' + f1(t) y' + f0(t) y = f(t) on [t1, t2]
 becomes, in x = 2(t - t1)/(t2 - t1) - 1,
 
     (4/dt^2) f2 y_xx + (2/dt) f1 y_x + f0 y = f,
 
-which is the residual operator the collocation system discretizes.
+which is the residual operator the collocation system discretizes. The CLI
+and the catalog both read an ivp or bvp problem file by `scalar_problem`.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivisorZero, NodeSingularity
+from .errors import DivisorZero, NodeSingularity, ProblemFileError
+from .exprparse import parse_expression
 from .mapping import DomainMap
 
 
@@ -25,6 +27,54 @@ class LinearODE2:
     f: Callable
     t1: float
     t2: float
+
+
+def interval_of(data):
+    """A problem file's interval (t1, t2), floats with t2 > t1."""
+    try:
+        t1, t2 = (float(v) for v in data["interval"])
+    except (KeyError, TypeError, ValueError):
+        raise ProblemFileError("interval must be [t1, t2]") from None
+    if not t2 > t1:
+        raise ProblemFileError("interval must satisfy t2 > t1")
+    return t1, t2
+
+
+def compile_coefficient(name, src, t1, t2):
+    """The expression src, parsed, refused where it is not finite at t1 or t2."""
+    fn = parse_expression(src)
+    for t in (t1, t2):
+        if not np.isfinite(float(fn(t))):
+            raise ProblemFileError(f"coefficient {name} = {src!r} is non-finite at t = {t}")
+    return fn
+
+
+def scalar_problem(data):
+    """The LinearODE2 and the two (order, at, value) constraint triples of an
+    ivp or bvp problem file. An order is 0, 1 or 2, and not a boolean."""
+    t1, t2 = interval_of(data)
+    coeffs = data.get("coefficients") or {}
+    missing = {"f2", "f1", "f0", "f"} - set(coeffs)
+    if missing:
+        raise ProblemFileError(f"missing coefficients: {sorted(missing)}")
+    ode = LinearODE2(*(compile_coefficient(k, coeffs[k], t1, t2) for k in ("f2", "f1", "f0", "f")),
+                     t1=t1, t2=t2)
+    raw = data.get("constraints") or []
+    if len(raw) != 2:
+        raise ProblemFileError("ivp/bvp problems take exactly 2 constraints")
+    at = {"t1": t1, "t2": t2}
+    constraints = []
+    for c in raw:
+        try:
+            loc = c["at"]
+            loc = at[loc] if isinstance(loc, str) else float(loc)
+            order, value = c["order"], float(c["value"])
+        except (KeyError, TypeError, ValueError):
+            raise ProblemFileError(f"bad constraint entry {c!r}") from None
+        if isinstance(order, bool) or order not in (0, 1, 2):
+            raise ProblemFileError(f"constraint order {order!r} is not 0, 1 or 2")
+        constraints.append((int(order), loc, value))
+    return ode, constraints
 
 
 class MappedODE:

@@ -6,12 +6,12 @@ order 0, 1 or 2 at t1 or t2, are the rows C of T_k^(d)(-1 or +1) values
 with the package's one elimination (`embedding._eliminate`, the null-space
 method; Bjorck 1996, section 5.1) leaves the kept columns K free: any c_K =
 xi with c_S = a - W xi (`_series`) meets the constraints. One assembly,
-`_collocate`, builds the scalar ODE's system (`assemble`) and the
-state/costate blocks': column j is a linear operator L applied to T_{K_j} -
-T_S^T W_j, L T_S^T a comes off the right-hand side, and P and lambda are the
-columns of one Fortran-order [P | lambda] array. The solution callable sums
-its series by Clenshaw's recurrence, so the basis recurrence runs at the
-collocation nodes only.
+`_collocate`, builds the scalar ODE's system (`_system`, for `assemble`,
+`solve_problem` and `m_sweep`) and the state/costate blocks': column j is a
+linear operator L applied to T_{K_j} - T_S^T W_j, L T_S^T a comes off the
+right-hand side, and the result is one Fortran-order [P | lambda] array. The
+solution callable sums its series by Clenshaw's recurrence, so the basis
+recurrence runs at the collocation nodes only.
 
 Every problem is mapped onto x in [-1, +1] before it is collocated, so the
 nodes x and their table of T_k, T_k' and T_k'' depend on N, the node kind and
@@ -27,6 +27,9 @@ call and not kept.
 the state/costate block solver: a QR of the row-weighted [P | lambda], taken
 as the Householder QR of each block of rows followed by one QR of their
 stacked triangles, then the column scaling applied to the small triangle R.
+The solvers hand it (`_solve`) the array `_collocate` built, whose row
+blocks are factored as views when unweighted; weighted rows, or P and lambda
+given apart, are copied a block at a time (`_factor`).
 xi comes from the scaled triangle: its singular values give cond(P^T P)
 (`_singular_values`), then a solve on R (`solve_ls`), or a full SVD of R
 where lstsq's cut-off drops a value. The residual statistics
@@ -132,8 +135,8 @@ def _node_table(dmap, N, nodes, m):
 
 
 def _collocate(grid, elims, weights, rhs):
-    """[P | lambda] of equations over constrained series, as the columns of
-    one Fortran-order array that `_factor` takes as it stands. Rows are
+    """[P | lambda] of equations over constrained series, one Fortran-order
+    array whose row blocks `_factor` takes as views. Rows are
     equation-major (row i N + j is equation i at node j), columns the
     series' xi in order.
 
@@ -162,21 +165,25 @@ def _collocate(grid, elims, weights, rhs):
             cols -= W.T @ LS
             buf[-1, i] -= a @ LS
             col += n
-    system = buf.reshape(len(buf), -1).T
-    return system[:, :-1], system[:, -1]
+    return buf.reshape(len(buf), -1).T
 
 
-def assemble(constraints, mapped, cfg, *, _elim=None):
-    """The N x (m - 1) system P xi = lambda over the kept columns K: with L
-    the mapped homogeneous operator, P = L T_K - (L T_S)^T W and lambda =
-    f - (L T_S)^T a; _elim is the x-domain constraints' `_eliminate` at cfg.m
-    when the caller has it. One equation over one series (`_collocate`), with
-    L's bits on the whole table save that three -0.0 products read +0.0.
-    """
+def _system(constraints, mapped, cfg):
+    """The constraints' `_eliminate` at cfg.m, and `assemble`'s [P | lambda] as one array."""
+    elim = _eliminate(constraints, cfg.m)
     x, grid = _node_table(mapped.map, cfg.N, cfg.nodes, cfg.m)
     coeffs = mapped.coefficients_at(x)
-    return _collocate(grid, [_elim or _eliminate(constraints, cfg.m)],
-                      [[mapped.operator_weights(coeffs)]], coeffs[3])
+    return elim, _collocate(grid, [elim], [[mapped.operator_weights(coeffs)]], coeffs[3])
+
+
+def assemble(constraints, mapped, cfg):
+    """The N x (m - 1) system P xi = lambda over the kept columns K: with L
+    the mapped homogeneous operator, P = L T_K - (L T_S)^T W and lambda =
+    f - (L T_S)^T a. One equation over one series (`_collocate`), with L's
+    bits on the whole table save that three -0.0 products read +0.0.
+    """
+    system = _system(constraints, mapped, cfg)[1]
+    return system[:, :-1], system[:, -1]
 
 
 def _require_finite(name, a):
@@ -190,38 +197,17 @@ def _require_finite(name, a):
             raise ValueError(f"{name} is non-finite at row {int(np.argwhere(bad)[0][0])}")
 
 
-def _one_array(P, lam):
-    """[P | lam] as a view of the one Fortran-order array whose columns they
-    are, as `_collocate` builds them; else None.
-
-    The view is their base reshaped. One made by np.lib.stride_tricks.as_strided
-    from P would do too, but in a long loop of m_sweep calls it once grew a
-    long-lived malloc chunk by half a megabyte, which peak RSS kept.
-    """
-    rows, n = P.shape
-    base = lam.base
-    if not (isinstance(base, np.ndarray) and P.base is base and base.dtype == P.dtype
-            and base.size == rows * (n + 1) and base.flags.c_contiguous):
-        return None
-    A = base.reshape(n + 1, rows).T
-    at = base.ctypes.data
-    if P.strides == A.strides and lam.strides == A.strides[:1] and P.ctypes.data == at \
-            and lam.ctypes.data == at + n * A.strides[1]:
-        return A
-    return None
-
-
-def _factor(P, lam, weights, scaling):
+def _factor(P, lam, weights, scaling, system=None):
     """The triangle R of a QR factorization of [P | lw], its first n columns
     divided by the scales s, and s.
 
     Rows are weighted by sqrt(weights). [P | lw] is factored a block of
     _QR_BLOCK_ROWS rows at a time, then the blocks' triangles stacked and
     factored again (the tall-skinny QR); a system of one block is factored
-    as a whole. When P and lambda are the columns of one Fortran-order
-    array (`_one_array`) and there are no weights, the blocks are views of
-    that array; otherwise each is weighted into one reused Fortran-order
-    buffer.
+    as a whole. system, when given, is the one array [P | lambda] whose
+    columns P and lam are (`_collocate`'s); with no weights its blocks are
+    factored as views. Otherwise each block is weighted into one reused
+    Fortran-order buffer.
 
     Householder QR's backward error is column-wise (Higham 2002, section
     19.3), so dividing R's columns by s gives the triangle of the
@@ -237,7 +223,7 @@ def _factor(P, lam, weights, scaling):
         _require_finite("weights", weights)
         if np.less(weights, 0.0).any():
             raise ValueError(f"weights is negative at row {np.argmax(np.less(weights, 0.0))}")
-    view = None if weights is not None else _one_array(P, lam)
+    view = system if weights is None else None
     if view is None:
         sw = np.broadcast_to(1.0, (rows, 1)) if weights is None else np.sqrt(weights)[:, None]
         buf = np.empty((min(max(rows, 1), _QR_BLOCK_ROWS), n + 1), order="F")
@@ -318,6 +304,18 @@ def _leading_xi(R, n, s):
     return Z
 
 
+def _mean(a):
+    """Each column's sum over len(a). A column of finite entries whose sum
+    overflows is summed again divided by its largest |entry|."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(a, axis=0) / len(a)
+    for j in (~np.isfinite(mean)).nonzero()[0]:
+        top = np.max(np.abs(a[:, j]))
+        if np.isfinite(top):
+            mean[j] = np.add.reduce(a[:, j] / top) / len(a) * top
+    return mean
+
+
 def _residual_statistics(P, Xi, lam, scratch):
     """The residuals P Xi - lambda of every column of Xi, one product into a
     Fortran-order (rows x columns) array, and each column's mean, mean |r|
@@ -330,8 +328,7 @@ def _residual_statistics(P, Xi, lam, scratch):
     r = np.matmul(P[:, :len(Xi)], Xi, out=np.empty((rows, Xi.shape[1]), order="F"))
     r -= lam[:, None]
     dev = np.abs(r, out=scratch[:, :r.shape[1]])
-    abs_mean = np.add.reduce(dev, axis=0) / rows
-    mean = np.add.reduce(r, axis=0) / rows
+    abs_mean, mean = _mean(dev), _mean(r)
     np.subtract(r, mean, out=dev)
     with np.errstate(over="ignore"):
         dev *= dev
@@ -351,9 +348,12 @@ def solve_ls(P, lam, weights=None, scaling="column_norm"):
     the QR least-squares solution (Bjorck 1996), a solve on R[:n, :n].
     Raises ValueError on an unknown scaling, a non-finite input or a negative weight.
     """
-    P = np.asarray(P, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    R, s = _factor(P, lam, weights, scaling)
+    return _solve(np.asarray(P, dtype=float), np.asarray(lam, dtype=float), weights, scaling)
+
+
+def _solve(P, lam, weights, scaling, system=None):
+    """`solve_ls` of float arrays; system as `_factor` takes it."""
+    R, s = _factor(P, lam, weights, scaling, system)
     n = P.shape[1]
     xi, cond, rank_deficient = _singular_values(R, *P.shape, s)
     if xi is None:
@@ -397,10 +397,8 @@ def solve_problem(ode, constraints, cfg=None):
     (case_id, values_x) pair with values already x-scaled."""
     cfg = cfg or CollocationConfig()
     mapped = map_ode(ode)
-    constraints = _expression(mapped, constraints)
-    elim = _eliminate(constraints, cfg.m)
-    P, lam = assemble(constraints, mapped, cfg, _elim=elim)
-    sol = solve_ls(P, lam, cfg.weights, cfg.scaling)
+    elim, system = _system(_expression(mapped, constraints), mapped, cfg)
+    sol = _solve(system[:, :-1], system[:, -1], cfg.weights, cfg.scaling, system)
     sol.solution = _make_solution(elim, mapped, cfg.m, sol.xi)
     return sol
 
@@ -458,9 +456,9 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
         try:
             mapped = map_ode(ode)
             constraints = _expression(mapped, constraints)
-            elim = _eliminate(constraints, max(cfgs))
-            P, lam = assemble(constraints, mapped, cfgs[max(cfgs)], _elim=elim)
-            R, s = _factor(P, lam, None, scaling)
+            elim, system = _system(constraints, mapped, cfgs[max(cfgs)])
+            P, lam = system[:, :-1], system[:, -1]
+            R, s = _factor(P, lam, None, scaling, system)
         except _ROW_ERRORS as exc:
             errors.update(dict.fromkeys(cfgs, str(exc)))
 

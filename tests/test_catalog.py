@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tfc_solve
 from tfc_solve.catalog import CATALOG, CatalogProblem, get
 
 
@@ -64,3 +70,34 @@ def test_self_check_catches_wrong_analytic():
     )
     with pytest.raises(AssertionError):
         bad.self_check()
+
+
+@pytest.mark.parametrize("pid", sorted(CATALOG))
+def test_entry_and_cli_load_build_the_same_problem(pid):
+    # an entry's ode() and constraint_triples() and the CLI's catalog:<id>
+    # give the same coefficient bits at every node kind's nodes, the same
+    # interval and the same triples, types included
+    from tfc_solve import cli
+    from tfc_solve.mapping import DomainMap
+
+    entry, loaded = CATALOG[pid], cli.load_problem(f"catalog:{pid}")
+    ode = entry.ode()
+    assert (ode.t1, ode.t2) == (loaded.ode.t1, loaded.ode.t2) == loaded.interval
+    dmap = DomainMap(ode.t1, ode.t2)
+    for kind in ("uniform", "lobatto"):
+        t = dmap.to_t(dmap.nodes(1001, kind))
+        for name in ("f2", "f1", "f0", "f"):
+            a, b = (np.broadcast_to(getattr(o, name)(t), t.shape) for o in (ode, loaded.ode))
+            assert a.tobytes() == b.tobytes(), (kind, name)
+    triples = entry.constraint_triples()
+    assert triples == loaded.constraints
+    assert [tuple(map(type, c)) for c in triples] == [tuple(map(type, c)) for c in loaded.constraints]
+
+
+def test_catalog_does_not_import_the_cli():
+    # the CLI module costs its own import; the catalog reads its problem
+    # files through problem.scalar_problem
+    src = str(Path(tfc_solve.__file__).parents[1])
+    code = "import sys, tfc_solve.catalog; sys.exit('tfc_solve.cli' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -272,6 +272,38 @@ def test_unsupported_constraint_order_is_config_error(tmp_path, capsys, subcomma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["solve", "sweep"])
+def test_boolean_constraint_order_is_config_error(tmp_path, capsys, subcommand):
+    # true == 1 in Python; it was solved as a first-derivative constraint
+    doc = catalog.get("eq26").to_problem_file()
+    doc["constraints"][1]["order"] = True
+    pfile = tmp_path / "order.json"
+    pfile.write_text(json.dumps(doc))
+    code, out = run(tmp_path, subcommand, str(pfile))
+    assert code == 3
+    assert capsys.readouterr().err == "error[config]: constraint order True is not 0, 1 or 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("m", 17.9), ("m", True), ("N", 200.5), ("N", False)])
+@pytest.mark.parametrize("subcommand", ["solve", "sweep", "control"])
+def test_non_integer_m_or_n_is_config_error(tmp_path, capsys, subcommand, field, value):
+    # 17.9 and 200.5 were solved at m = 17 and N = 200
+    doc = control_doc() if subcommand == "control" else catalog.get("eq26").to_problem_file()
+    doc["solver"] = {"m": 17, "N": 200, field: value}
+    pfile = tmp_path / "solver.json"
+    pfile.write_text(json.dumps(doc))
+    code, out = run(tmp_path, subcommand, str(pfile))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error[config]: solver.{field} must be an integer, not {value!r}\n")
+    assert not out.exists()
+    # a whole number written as a float is an integer
+    pfile.write_text(json.dumps({**doc, "solver": {"m": 17.0, "N": 200.0}}))
+    code, _ = run(tmp_path / "whole", subcommand, str(pfile))
+    assert code == 0
+
+
 def test_bad_schema_is_config_error(tmp_path):
     pfile = tmp_path / "schema.json"
     pfile.write_text(json.dumps({"schema_version": 2, "kind": "ivp",

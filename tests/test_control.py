@@ -224,8 +224,10 @@ def per_node_setup(problem, cfg):
 def assemble_per_node(problem, cfg):
     """Reference: M and rhs on the scalar solver's route, node by node.
 
-    At node j, equation r puts -A[r, c] s^d on T^(d) for each feed (c, d) of
-    a block, and s^(d + 1) on T^(d + 1) where c = r, s = 2 / dt. L, the
+    At node j, equation r puts -A[r, c] g_d on T^(d) for each feed (c, d) of
+    a block, and g_(d + 1) on T^(d + 1) where c = r, with g_d the map's
+    factor 2^d / dt^d on a d-th derivative (`DomainMap.derivative_factor`,
+    which (2 / dt)^d does not round alike at every dt). L, the
     weighted sum from 0.0, highest derivative first, over the table of T_k,
     T_k', T_k'' at the nodes, gives the block's columns L T_K - W^T (L T_S)
     and takes a^T (L T_S) off rhs_r, which starts at 0.0. The W^T and a^T
@@ -236,7 +238,7 @@ def assemble_per_node(problem, cfg):
     dmap, x, a, blocks, rows = per_node_setup(problem, cfg)
     m, n = cfg.m, cfg.N
     grid = eval_basis_grid(m, 2, x)
-    s = 2.0 / dmap.delta_t
+    g = dmap.derivative_factor
     elims = [_eliminate(cs, m) for cs, _ in blocks]
     cols = sum(len(K) for _, K, _, _ in elims)
     M = np.zeros((len(rows) * n, cols))
@@ -246,8 +248,8 @@ def assemble_per_node(problem, cfg):
         for (_, feeds), (S, K, W, av) in zip(blocks, elims):
             L = np.empty((m + 1, n))
             for j in range(n):
-                terms = [(d, -a[j][r, c] * s ** d) for c, d in feeds]
-                terms += [(d + 1, s ** (d + 1)) for c, d in feeds if c == r]
+                terms = [(d, -a[j][r, c] * g(d)) for c, d in feeds]
+                terms += [(d + 1, g(d + 1)) for c, d in feeds if c == r]
                 top = max(d for d, _ in terms)
                 w = [0.0] * (top + 1)
                 for d, v in terms:
@@ -401,14 +403,16 @@ def test_assembly_bit_identical_to_per_node_loop(tmp_path, kind, nodes):
             assert M.flags.f_contiguous
             assert_bit_identical(M, M_ref)
             assert_bit_identical(rhs, rhs_ref)
-    # on [0, 2] the t-derivative factor s = 2 / dt is 1; on [0, 1.5] it
-    # weights T' and T'' by its powers
+    # on [0, 2] the t-derivative factor 2^d / dt^d is 1; on [0, 1.5] and
+    # [0, pi] it weights T' and T''. At dt = pi, (2 / dt)^2 and 4 / dt^2 round
+    # apart, so only the factor the assembly uses gives its bits
     cfg = CollocationConfig(m=17, N=200, nodes=nodes)
-    problem = replace(problem, tf=1.5)
-    M, rhs, _ = assemble_state_costate(problem, cfg)
-    M_ref, rhs_ref = assemble_per_node(problem, cfg)
-    assert_bit_identical(M, M_ref)
-    assert_bit_identical(rhs, rhs_ref)
+    for tf in (1.5, np.pi):
+        problem = replace(problem, tf=tf)
+        M, rhs, _ = assemble_state_costate(problem, cfg)
+        M_ref, rhs_ref = assemble_per_node(problem, cfg)
+        assert_bit_identical(M, M_ref)
+        assert_bit_identical(rhs, rhs_ref)
 
 
 @pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
@@ -704,9 +708,10 @@ def test_general_path_agrees_with_companion_path_on_lqr_family(seed):
     cfg = CollocationConfig(m=24, N=1000)
     dmap = DomainMap(problem.t0, problem.tf)
     x, grid = _node_table(dmap, cfg.N, cfg.nodes, cfg.m)
-    M, rhs, coefficients = _block_system(
+    system, coefficients = _block_system(
         dmap, grid, _dynamics(problem, dmap.to_t(x)),
         *_general_embedding(dmap, problem.x0, problem.lambda_f))
+    M, rhs = system[:, :-1], system[:, -1]
     assert M.shape == (4 * cfg.N, 4 * cfg.m)
     assert assemble_state_costate(problem, cfg)[0].shape == (3 * cfg.N, 3 * cfg.m - 1)
     general = coefficients(solve_ls(M, rhs).xi)

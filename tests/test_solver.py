@@ -10,6 +10,7 @@ from tfc_solve import (
     CollocationConfig,
     DomainError,
     LinearODE2,
+    StateCostateProblem,
     assemble,
     diagnostics,
     fixed_case_expression,
@@ -17,6 +18,7 @@ from tfc_solve import (
     map_ode,
     solve_ls,
     solve_problem,
+    solve_state_costate,
 )
 from tfc_solve.catalog import CATALOG
 from tfc_solve.chebyshev import _clip_to_interval, endpoint_rows, eval_basis_grid
@@ -331,6 +333,22 @@ def test_solve_ls_residual_std_past_the_square_root_of_the_largest_double():
     assert np.array_equal(sol.residuals, r)
     assert sol.residual_std == pytest.approx(1e157 * np.std(r / 1e157), rel=1e-14)
     assert sol.residual_mean == pytest.approx(1e157 * np.mean(r / 1e157), rel=1e-14)
+
+
+def test_solve_ls_residual_mean_past_the_largest_double():
+    # every residual is finite, but their sum overflows; such a column's mean
+    # and mean |r| are summed again divided by its largest |r|
+    rng = np.random.default_rng(7)
+    P = rng.standard_normal((20, 3))
+    lam = rng.standard_normal(20)
+    lam[12] = lam[15] = 1e308
+    with np.errstate(over="ignore"):
+        sol = solve_ls(P, lam)
+    r = sol.residuals
+    assert np.all(np.isfinite(r)) and abs(r[12]) > 1e307
+    assert sol.residual_mean == pytest.approx(1e307 * np.mean(r / 1e307), rel=1e-14)
+    assert sol.residual_abs_mean == pytest.approx(1e307 * np.mean(np.abs(r) / 1e307), rel=1e-14)
+    assert sol.residual_std == pytest.approx(1e307 * np.std(r / 1e307), rel=1e-14)
 
 
 def test_solve_ls_refuses_an_unknown_scaling():
@@ -962,9 +980,9 @@ def test_factor_bit_identical_to_whole_array_form(rows, scaling, weighted, order
 @pytest.mark.parametrize("scaling", ["column_norm", "none"])
 @pytest.mark.parametrize("rows", [5, 1000, 1024, 1025, 4000])
 def test_factor_of_one_buffer_matches_the_copy_path(rows, scaling, monkeypatch):
-    # [P | lambda] as one Fortran-order buffer is factored in row-block views
-    # of it; the same values in separate arrays are copied a block at a time
-    # into the factor's own buffer. Both give the same bits.
+    # [P | lambda] handed over as one Fortran-order buffer is factored in
+    # row-block views of it; the same values in separate arrays are copied a
+    # block at a time into the factor's own buffer. Both give the same bits.
     rng = np.random.default_rng(rows)
     buf = np.empty((20, rows))
     buf[:] = rng.standard_normal((20, rows)) * np.logspace(-6, 6, 20)[:, None]
@@ -977,7 +995,7 @@ def test_factor_of_one_buffer_matches_the_copy_path(rows, scaling, monkeypatch):
         return original(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", recorded)
-    R, s = _factor(P, lam, None, scaling)
+    R, s = _factor(P, lam, None, scaling, buf.T)
     n_blocks = -(-rows // 1024)
     assert blocks[:n_blocks] == [True] * n_blocks
     blocks.clear()
@@ -985,6 +1003,51 @@ def test_factor_of_one_buffer_matches_the_copy_path(rows, scaling, monkeypatch):
     assert not any(blocks)
     assert _bits(s) == _bits(s_copy)
     assert _bits(R) == _bits(R_copy)
+
+
+def test_solvers_hand_the_factor_the_assembled_array(monkeypatch):
+    # solve_problem, m_sweep and an unweighted solve_state_costate pass the
+    # one [P | lambda] array `_collocate` builds to the factor, which takes
+    # each row block as a view of it; only the stacked triangles' QR is not.
+    # Weighted rows are copied a block at a time.
+    import tfc_solve.control as control
+
+    built, seen = [], []
+    collocate, qr = solver._collocate, np.linalg.qr
+
+    def recorded_collocate(*args):
+        built.append(collocate(*args))
+        return built[-1]
+
+    def recorded_qr(a, mode="reduced"):
+        seen.append(a)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(solver, "_collocate", recorded_collocate)
+    monkeypatch.setattr(control, "_collocate", recorded_collocate)
+    monkeypatch.setattr(np.linalg, "qr", recorded_qr)
+    entry = CATALOG["eq28"]
+    ode, constraints = entry.ode(), entry.constraint_triples()
+    double_integrator = StateCostateProblem(
+        A11=lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]),
+        A12=lambda t: np.array([[0.0, 0.0], [0.0, -1.0]]),
+        A21=lambda t: np.array([[-1.0, 0.0], [0.0, 0.0]]),
+        A22=lambda t: np.array([[0.0, 0.0], [-1.0, 0.0]]),
+        x0=[1.0, 0.0], lambda_f=[0.0, 0.0], t0=0.0, tf=2.0)
+    cfg = CollocationConfig(m=17, N=2500)
+    weighted = CollocationConfig(m=17, N=2500, weights=np.linspace(1.0, 3.0, 2500))
+    for call, views in [(lambda: solve_problem(ode, constraints, cfg), True),
+                        (lambda: m_sweep(ode, constraints, range(3, 31), N=2500), True),
+                        (lambda: solve_state_costate(double_integrator, cfg), True),
+                        (lambda: solve_problem(ode, constraints, weighted), False),
+                        (lambda: solve_state_costate(double_integrator, weighted), False)]:
+        built.clear()
+        seen.clear()
+        call()
+        (system,) = built
+        n_blocks = -(-len(system) // 1024)
+        assert len(seen) == n_blocks + 1
+        assert [np.shares_memory(a, system) for a in seen] == [views] * n_blocks + [False]
 
 
 def _one_fortran_buffer(P, lam):

@@ -6,9 +6,11 @@ report.json with fixed 17-significant-digit formatting so identical
 inputs produce byte-identical outputs.
 
 Exit codes: 0 success (converged, infinite_solutions, or indeterminate),
-2 no_solution, 3 parse, configuration or solve error (including a sweep
-in which every m failed, and a sweep or classify of a problem file with
-solver.weights).
+2 no_solution, 3 parse, configuration or solve error. Configuration
+errors include a problem file that is malformed or names an unknown
+solver setting, a subcommand given a problem of the wrong kind (control
+against ivp/bvp), and a sweep or classify of a problem file with
+solver.weights; solve errors include a sweep in which every m failed.
 """
 
 import argparse
@@ -66,20 +68,35 @@ def write_json(path, payload):
     _atomic_write(path, text + "\n")
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 class LoadedProblem:
     def __init__(self, data, catalog_id=None):
         self.catalog_id = catalog_id
+        if not isinstance(data, dict):
+            raise ProblemFileError("a problem file must be a JSON object")
         if data.get("schema_version") != 1:
             raise ProblemFileError("schema_version must be 1")
         self.kind = data.get("kind")
         if self.kind not in ("ivp", "bvp", "control"):
             raise ProblemFileError(f"unknown kind {self.kind!r}")
         self.interval = interval_of(data)
-        self.solver = dict(data.get("solver") or {})
+        self.solver = {} if data.get("solver") is None else data["solver"]
+        if not isinstance(self.solver, dict):
+            raise ProblemFileError("solver must be an object")
+        unknown = sorted(set(self.solver) - {"m", "N", "scaling", "weights"})
+        if unknown:
+            raise ProblemFileError(f"unknown setting solver.{unknown[0]} "
+                                   "(the settings are m, N, scaling, weights)")
         for key in ("m", "N"):
-            v = self.solver.get(key)
-            if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+            v = self.solver.get(key, 0)  # an absent key takes its default
+            if not _is_number(v) or isinstance(v, float) and not v.is_integer():
                 raise ProblemFileError(f"solver.{key} must be an integer, not {v!r}")
+        w = self.solver.get("weights")
+        if w is not None and not (isinstance(w, list) and all(map(_is_number, w))):
+            raise ProblemFileError("solver.weights must be a list of numbers")
         if self.kind == "control":
             self._load_control(data)
         else:
@@ -91,14 +108,14 @@ class LoadedProblem:
         for name in ("A11", "A12", "A21", "A22"):
             rows = data.get(name)
             if (not isinstance(rows, list) or len(rows) != 2
-                    or any(len(r) != 2 for r in rows)):
+                    or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
                 raise ProblemFileError(f"{name} must be a 2x2 expression matrix")
             blocks[name] = [[compile_coefficient(f"{name}[{i}][{j}]", rows[i][j], t1, t2)
                              for j in range(2)] for i in range(2)]
         for key in ("x0", "lambda_f"):
             v = data.get(key)
-            if not isinstance(v, list) or len(v) != 2:
-                raise ProblemFileError(f"{key} must be a 2-vector")
+            if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
+                raise ProblemFileError(f"{key} must be a 2-vector of numbers")
 
         def matfn(fns):
             # (2, 2) at a scalar t, (2, 2, N) at an array of N times
@@ -273,8 +290,6 @@ def cmd_classify(problem, args, out):
 
 
 def cmd_control(problem, args, out):
-    if problem.kind != "control":
-        raise ProblemFileError("control subcommand needs a control-kind problem")
     cfg = problem.config(args)
     sol = solve_state_costate(problem.control, cfg)
     t1, t2 = problem.interval
@@ -327,6 +342,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         problem = load_problem(args.problem)
+        if (args.subcommand == "control") != (problem.kind == "control"):
+            need = "a control-kind" if args.subcommand == "control" else "an ivp- or bvp-kind"
+            raise ProblemFileError(f"{args.subcommand} subcommand needs {need} problem")
         os.makedirs(args.out, exist_ok=True)
         if args.m is not None:
             args.m = _parse_m(args.subcommand, args.m)

@@ -41,7 +41,10 @@ def interval_of(data):
 
 
 def compile_coefficient(name, src, t1, t2):
-    """The expression src, parsed, refused where it is not finite at t1 or t2."""
+    """The expression src, parsed, refused where it is not a string or not
+    finite at t1 or t2."""
+    if not isinstance(src, str):
+        raise ProblemFileError(f"coefficient {name} must be an expression string, not {src!r}")
     fn = parse_expression(src)
     for t in (t1, t2):
         if not np.isfinite(float(fn(t))):
@@ -54,13 +57,15 @@ def scalar_problem(data):
     ivp or bvp problem file. An order is 0, 1 or 2, and not a boolean."""
     t1, t2 = interval_of(data)
     coeffs = data.get("coefficients") or {}
+    if not isinstance(coeffs, dict):
+        raise ProblemFileError("coefficients must be an object")
     missing = {"f2", "f1", "f0", "f"} - set(coeffs)
     if missing:
         raise ProblemFileError(f"missing coefficients: {sorted(missing)}")
     ode = LinearODE2(*(compile_coefficient(k, coeffs[k], t1, t2) for k in ("f2", "f1", "f0", "f")),
                      t1=t1, t2=t2)
     raw = data.get("constraints") or []
-    if len(raw) != 2:
+    if not isinstance(raw, list) or len(raw) != 2:
         raise ProblemFileError("ivp/bvp problems take exactly 2 constraints")
     at = {"t1": t1, "t2": t2}
     constraints = []

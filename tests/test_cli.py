@@ -216,6 +216,65 @@ def test_control_on_scalar_problem_is_config_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("subcommand", ["solve", "sweep", "classify"])
+def test_scalar_subcommand_on_control_problem_is_config_error(tmp_path, capsys, subcommand):
+    # a control file has no ode; these ended in an AttributeError traceback
+    pfile = tmp_path / "ctl.json"
+    pfile.write_text(json.dumps(control_doc()))
+    code, out = run(tmp_path, subcommand, str(pfile))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error[config]: {subcommand} subcommand needs an ivp- or bvp-kind problem\n")
+    assert not out.exists()
+
+
+def _scalar_doc(**changes):
+    return {**catalog.get("eq26").to_problem_file(), **changes}
+
+
+def _control_a11(a11):
+    return {**control_doc(), "A11": a11}
+
+
+@pytest.mark.parametrize("subcommand, doc, message", [
+    ("solve", [], "a problem file must be a JSON object"),
+    ("solve", _scalar_doc(coefficients=5), "coefficients must be an object"),
+    ("solve", _scalar_doc(coefficients={"f2": "1", "f1": 2, "f0": "1", "f": "0"}),
+     "coefficient f1 must be an expression string, not 2"),
+    ("control", _control_a11([["1", 1], ["0", "0"]]),
+     "coefficient A11[0][1] must be an expression string, not 1"),
+    ("control", _control_a11([[0, "1"], ["0", "0"]]),
+     "coefficient A11[0][0] must be an expression string, not 0"),
+    ("solve", _scalar_doc(constraints=5), "ivp/bvp problems take exactly 2 constraints"),
+    ("solve", _scalar_doc(solver=[1, 2]), "solver must be an object"),
+    ("solve", _scalar_doc(solver={"N": None}), "solver.N must be an integer, not None"),
+], ids=["top-level-array", "coefficients-number", "coefficient-number", "a11-number",
+        "a11-leading-number", "constraints-number", "solver-array", "solver-n-null"])
+def test_malformed_problem_file_is_config_error(tmp_path, capsys, subcommand, doc, message):
+    # each of these ended in a traceback (exit 1), or in a parse error at
+    # the wrong place, before the loader checked the value's type
+    pfile = tmp_path / "bad.json"
+    pfile.write_text(json.dumps(doc))
+    code, out = run(tmp_path, subcommand, str(pfile))
+    assert code == 3
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("nodes", "lobatto"), ("scalling", "none")])
+def test_unknown_solver_setting_is_config_error(tmp_path, capsys, key, value):
+    # nodes was solved on uniform nodes and the misspelt scaling dropped
+    pfile = tmp_path / "solver.json"
+    pfile.write_text(json.dumps(_scalar_doc(solver={"m": 17, key: value})))
+    for subcommand in ("solve", "sweep"):
+        code, out = run(tmp_path, subcommand, str(pfile))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error[config]: unknown setting solver.{key} "
+            "(the settings are m, N, scaling, weights)\n")
+        assert not out.exists()
+
+
 def test_unknown_catalog_id_is_config_error(tmp_path):
     code, _ = run(tmp_path, "solve", "catalog:doesnotexist")
     assert code == 3

@@ -26,13 +26,6 @@ from .exprparse import parse_expression
 from .mapping import DomainMap
 from .problem import LinearODE2, MappedODE, implied_initial_value, map_ode
 from .oracle import integrate_ivp, rk4_integrate, shoot_bvp, shoot_state_costate
-from .solver import (
-    CollocationConfig,
-    LSSolution,
-    assemble,
-    m_sweep,
-    solve_ls,
-    solve_problem,
-)
+from .solver import CollocationConfig, LSSolution, m_sweep, solve_problem
 
 __version__ = "0.1.0"

@@ -116,6 +116,8 @@ class LoadedProblem:
             v = data.get(key)
             if not (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))):
                 raise ProblemFileError(f"{key} must be a 2-vector of numbers")
+            if not all(map(math.isfinite, v)):
+                raise ProblemFileError(f"{key} must hold finite numbers, not {v}")
 
         def matfn(fns):
             # (2, 2) at a scalar t, (2, 2, N) at an array of N times

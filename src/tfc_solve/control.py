@@ -9,10 +9,9 @@ is solved with the scalar solver's embedding (`embedding._eliminate`): a
 component's boundary values are constraint rows over T_0..T_m, and its
 series is c_K = xi, c_S = a - W xi, so the boundary values hold for any xi.
 The collocated dynamics residual is minimized by least squares over the xi
-of every block with the scalar solver's kernel (`solver._solve`, which
-`solve_ls` wraps), handed the one [M | rhs] array `_collocate` builds, whose
-row blocks it factors as views when unweighted. Which embedding is used is
-read off A at the nodes:
+of every block with the scalar solver's kernel (`solver._solve`), handed
+the one [M | rhs] array `_collocate` builds, whose row blocks it factors as
+views when unweighted. Which embedding is used is read off A at the nodes:
 
 - companion form (A11 row 0 is (0, 1) and A12 row 0 is (0, 0) at every
   node, exactly): x1 carries both x0[0] and x0[1] (pivots S = {0, 1} at
@@ -211,7 +210,10 @@ def _block_system(dmap, grid, A, blocks, rows):
 
 
 def _system(dmap, problem, cfg):
-    """`assemble_state_costate`, with [M | rhs] as `_collocate`'s one array."""
+    """The block system [M | rhs] over the collocation nodes, as
+    `_collocate`'s one array, and the map from its solution xi to the
+    (4, m + 1) coefficients of x1, x2, lambda1 and lambda2: 3N x (3m - 1)
+    for companion-form A, 4N x 4m otherwise."""
     x, grid = _node_table(dmap, cfg.N, cfg.nodes, cfg.m)
     A = _dynamics(problem, dmap.to_t(x))
     x0, lf = (np.asarray(v, dtype=float) for v in (problem.x0, problem.lambda_f))
@@ -221,14 +223,6 @@ def _system(dmap, problem, cfg):
     return _block_system(dmap, grid, A, *embedding(dmap, x0, lf))
 
 
-def assemble_state_costate(problem, cfg):
-    """The block system (M, rhs) over the collocation nodes, and the map from
-    its solution xi to the (4, m + 1) coefficients of x1, x2, lambda1 and
-    lambda2: 3N x (3m - 1) for companion-form A, 4N x 4m otherwise."""
-    system, coefficients = _system(DomainMap(problem.t0, problem.tf), problem, cfg)
-    return system[:, :-1], system[:, -1], coefficients
-
-
 def solve_state_costate(problem, cfg=None):
     """LS solve of the block system; boundary values exact by construction."""
     cfg = cfg or CollocationConfig(m=17, N=200)
@@ -236,7 +230,7 @@ def solve_state_costate(problem, cfg=None):
     system, coefficients = _system(dmap, problem, cfg)
     # each node's weight applies to its row of every equation
     weights = None if cfg.weights is None else np.tile(cfg.weights, len(system) // cfg.N)
-    sol = _solve(system[:, :-1], system[:, -1], weights, cfg.scaling, system)
+    sol = _solve(system, weights, cfg.scaling)
     coef = coefficients(sol.xi)
 
     def state(t):

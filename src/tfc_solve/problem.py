@@ -35,6 +35,8 @@ def interval_of(data):
         t1, t2 = (float(v) for v in data["interval"])
     except (KeyError, TypeError, ValueError):
         raise ProblemFileError("interval must be [t1, t2]") from None
+    if not (np.isfinite(t1) and np.isfinite(t2)):
+        raise ProblemFileError(f"interval must hold finite numbers, not [{t1}, {t2}]")
     if not t2 > t1:
         raise ProblemFileError("interval must satisfy t2 > t1")
     return t1, t2
@@ -76,6 +78,9 @@ def scalar_problem(data):
             order, value = c["order"], float(c["value"])
         except (KeyError, TypeError, ValueError):
             raise ProblemFileError(f"bad constraint entry {c!r}") from None
+        for field, v in (("at", loc), ("value", value)):
+            if not np.isfinite(v):
+                raise ProblemFileError(f"constraint {field} must be finite, not {v}")
         if isinstance(order, bool) or order not in (0, 1, 2):
             raise ProblemFileError(f"constraint order {order!r} is not 0, 1 or 2")
         constraints.append((int(order), loc, value))

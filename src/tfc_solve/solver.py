@@ -6,7 +6,7 @@ order 0, 1 or 2 at t1 or t2, are the rows C of T_k^(d)(-1 or +1) values
 with the package's one elimination (`embedding._eliminate`, the null-space
 method; Bjorck 1996, section 5.1) leaves the kept columns K free: any c_K =
 xi with c_S = a - W xi (`_series`) meets the constraints. One assembly,
-`_collocate`, builds the scalar ODE's system (`_system`, for `assemble`,
+`_collocate`, builds the scalar ODE's system (`_system`, for
 `solve_problem` and `m_sweep`) and the state/costate blocks': column j is a
 linear operator L applied to T_{K_j} - T_S^T W_j, L T_S^T a comes off the
 right-hand side, and the result is one Fortran-order [P | lambda] array. The
@@ -23,15 +23,16 @@ k - 2. The tables held together take at most _NODE_TABLE_BYTES; the least
 recently used goes first, and a table larger than that is built for its
 call and not kept.
 
-`solve_ls(P, lam, weights, scaling)` is the least-squares kernel shared with
-the state/costate block solver: a QR of the row-weighted [P | lambda], taken
-as the Householder QR of each block of rows followed by one QR of their
-stacked triangles, then the column scaling applied to the small triangle R.
-The solvers hand it (`_solve`) the array `_collocate` built, whose row
-blocks are factored as views when unweighted; weighted rows, or P and lambda
-given apart, are copied a block at a time (`_factor`).
+`_solve(system, weights, scaling)` is the least-squares kernel shared with
+the state/costate block solver, and `_factor(system, weights, scaling)` its
+QR: system is always the Fortran-order [P | lambda] `_collocate` built. A
+QR of the row-weighted [P | lambda] is taken as the Householder QR of each
+block of rows followed by one QR of their stacked triangles, then the
+column scaling applied to the small triangle R. Unweighted row blocks are
+factored as views; weighted ones are weighted a block at a time into one
+reused buffer.
 xi comes from the scaled triangle: its singular values give cond(P^T P)
-(`_singular_values`), then a solve on R (`solve_ls`), or a full SVD of R
+(`_singular_values`), then a solve on R (`_solve`), or a full SVD of R
 where lstsq's cut-off drops a value. The residual statistics
 (`_residual_statistics`) come from one product for any number of solutions.
 `m_sweep` assembles and factors once; each m reads a leading block of R,
@@ -169,21 +170,16 @@ def _collocate(grid, elims, weights, rhs):
 
 
 def _system(constraints, mapped, cfg):
-    """The constraints' `_eliminate` at cfg.m, and `assemble`'s [P | lambda] as one array."""
-    elim = _eliminate(constraints, cfg.m)
-    x, grid = _node_table(mapped.map, cfg.N, cfg.nodes, cfg.m)
-    coeffs = mapped.coefficients_at(x)
-    return elim, _collocate(grid, [elim], [[mapped.operator_weights(coeffs)]], coeffs[3])
-
-
-def assemble(constraints, mapped, cfg):
-    """The N x (m - 1) system P xi = lambda over the kept columns K: with L
+    """The constraints' `_eliminate` at cfg.m, and the N x (m - 1) system
+    P xi = lambda over the kept columns K as one [P | lambda] array: with L
     the mapped homogeneous operator, P = L T_K - (L T_S)^T W and lambda =
     f - (L T_S)^T a. One equation over one series (`_collocate`), with L's
     bits on the whole table save that three -0.0 products read +0.0.
     """
-    system = _system(constraints, mapped, cfg)[1]
-    return system[:, :-1], system[:, -1]
+    elim = _eliminate(constraints, cfg.m)
+    x, grid = _node_table(mapped.map, cfg.N, cfg.nodes, cfg.m)
+    coeffs = mapped.coefficients_at(x)
+    return elim, _collocate(grid, [elim], [[mapped.operator_weights(coeffs)]], coeffs[3])
 
 
 def _require_finite(name, a):
@@ -197,17 +193,15 @@ def _require_finite(name, a):
             raise ValueError(f"{name} is non-finite at row {int(np.argwhere(bad)[0][0])}")
 
 
-def _factor(P, lam, weights, scaling, system=None):
-    """The triangle R of a QR factorization of [P | lw], its first n columns
-    divided by the scales s, and s.
+def _factor(system, weights, scaling):
+    """The triangle R of a QR factorization of the row-weighted [P | lambda]
+    system, its first n columns divided by the scales s, and s.
 
-    Rows are weighted by sqrt(weights). [P | lw] is factored a block of
+    Rows are weighted by sqrt(weights). The system is factored a block of
     _QR_BLOCK_ROWS rows at a time, then the blocks' triangles stacked and
     factored again (the tall-skinny QR); a system of one block is factored
-    as a whole. system, when given, is the one array [P | lambda] whose
-    columns P and lam are (`_collocate`'s); with no weights its blocks are
-    factored as views. Otherwise each block is weighted into one reused
-    Fortran-order buffer.
+    as a whole. With no weights its blocks are factored as views; otherwise
+    each block is weighted into one reused Fortran-order buffer.
 
     Householder QR's backward error is column-wise (Higham 2002, section
     19.3), so dividing R's columns by s gives the triangle of the
@@ -216,26 +210,21 @@ def _factor(P, lam, weights, scaling, system=None):
     (weighted) norm of P's; a zero column keeps s_j = 1.
     """
     _check_kinds(scaling)
-    _require_finite("P", P)
-    _require_finite("lam", lam)
-    rows, n = P.shape
+    _require_finite("P", system[:, :-1])
+    _require_finite("lam", system[:, -1])
+    rows, n = system.shape[0], system.shape[1] - 1
     if weights is not None:
         _require_finite("weights", weights)
         if np.less(weights, 0.0).any():
             raise ValueError(f"weights is negative at row {np.argmax(np.less(weights, 0.0))}")
-    view = system if weights is None else None
-    if view is None:
-        sw = np.broadcast_to(1.0, (rows, 1)) if weights is None else np.sqrt(weights)[:, None]
+        sw = np.sqrt(weights)[:, None]
         buf = np.empty((min(max(rows, 1), _QR_BLOCK_ROWS), n + 1), order="F")
     Rs = []
     for i in range(0, max(rows, 1), _QR_BLOCK_ROWS):
         block = slice(i, min(rows, i + _QR_BLOCK_ROWS))
-        if view is not None:
-            A = view[block]
-        else:
-            A = buf[:block.stop - i]
-            np.multiply(P[block], sw[block], out=A[:, :n])
-            np.multiply(lam[block], sw[block, 0], out=A[:, n])
+        A = system[block]
+        if weights is not None:
+            A = np.multiply(A, sw[block], out=buf[:block.stop - i])
         Rs.append(np.linalg.qr(A, mode="r"))
     R = Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
     if scaling != "column_norm":
@@ -263,7 +252,7 @@ def _singular_values(R, rows, n, s, cut=False):
     is the triangle of those n columns, R[:n, -1] is Q^T lw for them, and the
     singular values of T are those of the scaled P. A square T whose singular
     values all pass the cut-off needs only those values, and its xi is the
-    caller's (a solve in `solve_ls`, one inverse for a sweep in
+    caller's (a solve in `_solve`, one inverse for a sweep in
     `_leading_xi`). Otherwise xi is the minimum-norm solution from a full SVD
     of T, keeping the values above the cut-off, divided by s[:n]. A T with
     fewer rows than n takes the full SVD at once, and so does cut=True:
@@ -297,7 +286,7 @@ def _leading_xi(R, n, s):
     R[j, -1], which the cumulative sum along the rows of R_inv R[:n, -1]
     gives for every k; R_inv is upper triangular, so its entries below
     row k add nothing to column k - 1. Rows divide by s[:n] as in
-    `solve_ls`.
+    `_solve`.
     """
     Z = np.cumsum(np.linalg.inv(R[:n, :n]) * R[:n, -1], axis=1)
     Z /= s[:n, None]
@@ -338,22 +327,19 @@ def _residual_statistics(P, Xi, lam, scratch):
     return r, mean, abs_mean, std
 
 
-def solve_ls(P, lam, weights=None, scaling="column_norm"):
-    """Scaled least-squares solve with residual and conditioning diagnostics.
+def _solve(system, weights, scaling):
+    """Scaled least-squares solve of the [P | lambda] system, with residual
+    and conditioning diagnostics.
 
     Rows are weighted by sqrt(weights), one weight per row; scaling is
-    "column_norm" or "none". One QR of the weighted [P | lambda], over
-    blocks of rows, whose triangle R is then column-scaled; xi is the
-    full-SVD xi of `_singular_values` where the cut-off drops a value, else
-    the QR least-squares solution (Bjorck 1996), a solve on R[:n, :n].
-    Raises ValueError on an unknown scaling, a non-finite input or a negative weight.
+    "column_norm" or "none". One QR of the weighted [P | lambda] (`_factor`),
+    whose triangle R is then column-scaled; xi is the full-SVD xi of
+    `_singular_values` where the cut-off drops a value, else the QR
+    least-squares solution (Bjorck 1996), a solve on R[:n, :n]. Raises
+    ValueError on an unknown scaling, a non-finite input or a negative weight.
     """
-    return _solve(np.asarray(P, dtype=float), np.asarray(lam, dtype=float), weights, scaling)
-
-
-def _solve(P, lam, weights, scaling, system=None):
-    """`solve_ls` of float arrays; system as `_factor` takes it."""
-    R, s = _factor(P, lam, weights, scaling, system)
+    R, s = _factor(system, weights, scaling)
+    P, lam = system[:, :-1], system[:, -1]
     n = P.shape[1]
     xi, cond, rank_deficient = _singular_values(R, *P.shape, s)
     if xi is None:
@@ -398,7 +384,7 @@ def solve_problem(ode, constraints, cfg=None):
     cfg = cfg or CollocationConfig()
     mapped = map_ode(ode)
     elim, system = _system(_expression(mapped, constraints), mapped, cfg)
-    sol = _solve(system[:, :-1], system[:, -1], cfg.weights, cfg.scaling, system)
+    sol = _solve(system, cfg.weights, cfg.scaling)
     sol.solution = _make_solution(elim, mapped, cfg.m, sol.xi)
     return sol
 
@@ -458,7 +444,7 @@ def m_sweep(ode, constraints, m_range, N=1000, nodes="uniform",
             constraints = _expression(mapped, constraints)
             elim, system = _system(constraints, mapped, cfgs[max(cfgs)])
             P, lam = system[:, :-1], system[:, -1]
-            R, s = _factor(P, lam, None, scaling, system)
+            R, s = _factor(system, None, scaling)
         except _ROW_ERRORS as exc:
             errors.update(dict.fromkeys(cfgs, str(exc)))
 

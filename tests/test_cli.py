@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -255,6 +256,34 @@ def test_malformed_problem_file_is_config_error(tmp_path, capsys, subcommand, do
     # the wrong place, before the loader checked the value's type
     pfile = tmp_path / "bad.json"
     pfile.write_text(json.dumps(doc))
+    code, out = run(tmp_path, subcommand, str(pfile))
+    assert code == 3
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
+    assert not out.exists()
+
+
+def _with_first_constraint(**changes):
+    doc = _scalar_doc()
+    return {**doc, "constraints": [{**doc["constraints"][0], **changes},
+                                   *doc["constraints"][1:]]}
+
+
+@pytest.mark.parametrize("subcommand, doc, message", [
+    ("solve", _with_first_constraint(value=math.inf), "constraint value must be finite, not inf"),
+    ("solve", _with_first_constraint(at=-math.inf), "constraint at must be finite, not -inf"),
+    ("control", {**control_doc(), "x0": [math.inf, 0]},
+     "x0 must hold finite numbers, not [inf, 0]"),
+    ("control", {**control_doc(), "lambda_f": [0, -math.inf]},
+     "lambda_f must hold finite numbers, not [0, -inf]"),
+    ("solve", _scalar_doc(interval=[0, math.inf]),
+     "interval must hold finite numbers, not [0.0, inf]"),
+], ids=["constraint-value", "constraint-at", "x0", "lambda_f", "interval"])
+def test_non_finite_number_in_problem_file_is_config_error(tmp_path, capsys, subcommand, doc,
+                                                            message):
+    # JSON reads 1e400 as inf; each of these passed the loader and was
+    # refused later, after --out was made, by an array's name and row
+    pfile = tmp_path / "inf.json"
+    pfile.write_text(json.dumps(doc).replace("Infinity", "1e400"))
     code, out = run(tmp_path, subcommand, str(pfile))
     assert code == 3
     assert capsys.readouterr().err == f"error[config]: {message}\n"

@@ -15,25 +15,27 @@ from tfc_solve import (
     StateCostateProblem,
     eval_basis_grid,
     shoot_state_costate,
-    solve_ls,
     solve_problem,
     solve_state_costate,
 )
 from tfc_solve.catalog import CATALOG
 from tfc_solve.chebyshev import derivative_series
 from tfc_solve.cli import load_problem, main
-from tfc_solve.control import (
-    _block_system,
-    _dynamics,
-    _general_embedding,
-    _x_at,
-    assemble_state_costate,
-)
+from tfc_solve.control import _block_system, _dynamics, _general_embedding, _system, _x_at
 from tfc_solve.embedding import _eliminate
-from tfc_solve.solver import _node_table
+from tfc_solve.solver import _node_table, _solve
+
+from kernel import solve_ls
 
 I2 = np.eye(2)
 Z2 = np.zeros((2, 2))
+
+
+def _assembled(problem, cfg):
+    """M, rhs and the coefficient map, M and rhs the views of the one
+    [M | rhs] `control._system` builds."""
+    system, coefficients = _system(DomainMap(problem.t0, problem.tf), problem, cfg)
+    return system[:, :-1], system[:, -1], coefficients
 
 
 def const(mat):
@@ -99,7 +101,7 @@ def test_constant_basis_columns_dropped():
     for problem, shape in ((lqr_problem(), (3 * 80, 3 * 10 - 1)),
                            (diagonal_problem(), (4 * 80, 4 * 10))):
         for nodes in ("uniform", "lobatto"):
-            M, rhs, _ = assemble_state_costate(problem, CollocationConfig(m=10, N=80, nodes=nodes))
+            M, rhs, _ = _assembled(problem, CollocationConfig(m=10, N=80, nodes=nodes))
             assert M.shape == shape
             assert rhs.shape == shape[:1]
 
@@ -158,13 +160,13 @@ def test_rhs_affine_in_boundary_data():
     # rhs is linear in (x0, lambda_f): doubling both doubles the rhs
     prob = lqr_problem()
     cfg = CollocationConfig(m=6, N=30)
-    rhs1 = assemble_state_costate(prob, cfg)[1]
+    rhs1 = _assembled(prob, cfg)[1]
     prob2 = StateCostateProblem(
         A11=prob.A11, A12=prob.A12, A21=prob.A21, A22=prob.A22,
         x0=2.0 * np.asarray(prob.x0), lambda_f=2.0 * np.asarray(prob.lambda_f),
         t0=prob.t0, tf=prob.tf,
     )
-    rhs2 = assemble_state_costate(prob2, cfg)[1]
+    rhs2 = _assembled(prob2, cfg)[1]
     assert np.max(np.abs(rhs2 - 2.0 * rhs1)) <= 1e-13
 
 
@@ -393,7 +395,7 @@ def test_assembly_bit_identical_to_per_node_loop(tmp_path, kind, nodes):
     for m in (2, 17, 25):
         for n in (m + 1, 200, 1001):
             cfg = CollocationConfig(m=m, N=n, nodes=nodes)
-            M, rhs, _ = assemble_state_costate(problem, cfg)
+            M, rhs, _ = _assembled(problem, cfg)
             M_ref, rhs_ref = assemble_per_node(problem, cfg)
             # parsed, per-node numpy, array and constant companion-form A
             # all get the 3N x (3m - 1) system
@@ -409,7 +411,7 @@ def test_assembly_bit_identical_to_per_node_loop(tmp_path, kind, nodes):
     cfg = CollocationConfig(m=17, N=200, nodes=nodes)
     for tf in (1.5, np.pi):
         problem = replace(problem, tf=tf)
-        M, rhs, _ = assemble_state_costate(problem, cfg)
+        M, rhs, _ = _assembled(problem, cfg)
         M_ref, rhs_ref = assemble_per_node(problem, cfg)
         assert_bit_identical(M, M_ref)
         assert_bit_identical(rhs, rhs_ref)
@@ -429,7 +431,7 @@ def test_value_table_agrees_with_the_derivative_grid(kind, nodes):
     for m in (2, 17, 25, 30):
         for n in (m + 1, 1001):
             cfg = CollocationConfig(m=m, N=n, nodes=nodes)
-            got = np.column_stack(assemble_state_costate(problem, cfg)[:2])
+            got = np.column_stack(_assembled(problem, cfg)[:2])
             for products in (basis_products_from_values, basis_products_from_grid):
                 ref = np.column_stack(assemble_by_products(problem, cfg, products))
                 scale = np.max(np.abs(ref), axis=0)
@@ -462,7 +464,7 @@ def test_block_calls_per_assembly(kind):
     problem = replace(problem, **{name: counted(getattr(problem, name), c)
                                   for name, c in calls.items()})
     cfg = CollocationConfig(m=10, N=50)
-    assemble_state_costate(problem, cfg)
+    _assembled(problem, cfg)
     for c in calls.values():
         if kind == "array_numpy":
             assert c == [1]
@@ -483,7 +485,7 @@ def test_constant_looking_block_falls_back_to_per_node(reduce, probes):
     calls = []
     problem = replace(scalar_only_problem(), A22=counted(a22, calls))
     cfg = CollocationConfig(m=10, N=50)
-    M, rhs, _ = assemble_state_costate(problem, cfg)
+    M, rhs, _ = _assembled(problem, cfg)
     assert calls == [1] + [0] * (probes + cfg.N)
     M_ref, rhs_ref = assemble_per_node(problem, cfg)
     assert_bit_identical(M, M_ref)
@@ -514,7 +516,7 @@ def test_one_basis_evaluation_per_point_set(monkeypatch):
     for problem in (lqr_problem(), diagonal_problem()):
         orders.clear()
         series.clear()
-        M = assemble_state_costate(problem, cfg)[0]
+        M = _assembled(problem, cfg)[0]
         # a warm call reads the kept table: no basis table, and no
         # derivative series, builds its system
         assert orders == [] and series == []
@@ -530,7 +532,7 @@ def test_one_basis_evaluation_per_point_set(monkeypatch):
 @pytest.mark.parametrize("problem", [lqr_problem, diagonal_problem])
 def test_block_system_and_rhs_share_one_fortran_buffer(problem):
     # companion form (3N rows) and the general path (4N rows)
-    M, rhs, _ = assemble_state_costate(problem(), CollocationConfig(m=10, N=50))
+    M, rhs, _ = _assembled(problem(), CollocationConfig(m=10, N=50))
     rows, n = M.shape
     assert rows in (150, 200) and rhs.shape == (rows,)
     assert M.flags.f_contiguous and rhs.flags.c_contiguous
@@ -623,7 +625,7 @@ def test_node_weights_apply_to_every_equation_row():
     sol = solve_state_costate(problem, replace(cfg, weights=weights))
     M, rhs = assemble_per_node(problem, cfg)
     row_weights = np.array([weights[r % 60] for r in range(len(rhs))])
-    coefficients = assemble_state_costate(problem, cfg)[2]
+    coefficients = _assembled(problem, cfg)[2]
     assert_bit_identical(sol.coefficients, coefficients(solve_ls(M, rhs, row_weights).xi))
 
 
@@ -641,7 +643,7 @@ def test_non_companion_dynamics_match_shooting_oracle(tmp_path):
     # x2 = x1' does not hold here, so each component gets its own series
     problem = diagonal_problem()
     cfg = CollocationConfig(m=17, N=1000)
-    assert assemble_state_costate(problem, cfg)[0].shape == (4 * 1000, 4 * 17)
+    assert _assembled(problem, cfg)[0].shape == (4 * 1000, 4 * 17)
     sol = solve_state_costate(problem, cfg)
     assert oracle_error(sol, problem) <= 1e-12
 
@@ -680,7 +682,7 @@ def test_one_ulp_from_companion_form_takes_the_general_path(block, entry, value)
         return out
 
     problem = replace(lqr_problem(), **{block: a})
-    M, _, _ = assemble_state_costate(problem, cfg)
+    M, _, _ = _assembled(problem, cfg)
     assert M.shape == (4 * cfg.N, 4 * cfg.m)
     assert oracle_error(solve_state_costate(problem, cfg), lqr_problem()) <= 1e-12
 
@@ -711,10 +713,9 @@ def test_general_path_agrees_with_companion_path_on_lqr_family(seed):
     system, coefficients = _block_system(
         dmap, grid, _dynamics(problem, dmap.to_t(x)),
         *_general_embedding(dmap, problem.x0, problem.lambda_f))
-    M, rhs = system[:, :-1], system[:, -1]
-    assert M.shape == (4 * cfg.N, 4 * cfg.m)
-    assert assemble_state_costate(problem, cfg)[0].shape == (3 * cfg.N, 3 * cfg.m - 1)
-    general = coefficients(solve_ls(M, rhs).xi)
+    assert system.shape == (4 * cfg.N, 4 * cfg.m + 1)
+    assert _assembled(problem, cfg)[0].shape == (3 * cfg.N, 3 * cfg.m - 1)
+    general = coefficients(_solve(system, None, "column_norm").xi)
     sol = solve_state_costate(problem, cfg)
     t = np.linspace(0.0, 2.0, 1001)
     h = eval_basis_grid(cfg.m, 0, _x_at(dmap, t))[0]

@@ -14,11 +14,13 @@ from tfc_solve import (
     CollocationConfig,
     StateCostateProblem,
     m_sweep,
-    solve_ls,
     solve_problem,
     solve_state_costate,
 )
 from tfc_solve.catalog import CATALOG
+from tfc_solve.solver import _solve
+
+from kernel import system_of
 
 
 def transient_peak(call):
@@ -37,10 +39,8 @@ def test_solve_ls_makes_no_copy_of_the_system():
     # [P | lambda] is factored a block of rows at a time; a copy of it whole
     # would take the peak past the system's own size
     rng = np.random.default_rng(5)
-    P = rng.standard_normal((4000, 60))
-    lam = rng.standard_normal(4000)
-    system = P.nbytes + lam.nbytes
-    assert transient_peak(lambda: solve_ls(P, lam)) < 1.0 * system
+    system = system_of(rng.standard_normal((4000, 60)), rng.standard_normal(4000))
+    assert transient_peak(lambda: _solve(system, None, "column_norm")) < 1.0 * system.nbytes
 
 
 def test_solution_callable_builds_no_basis_grid():

@@ -134,7 +134,7 @@ def test_implied_initial_value_argument_checks():
 
 @pytest.mark.parametrize("shape", [(301,), (18, 301)])
 def test_operator_into_a_buffer_keeps_every_bit(shape):
-    # the one-pass sum `assemble` forms over a node table's rows T'', T', T,
+    # the one-pass sum `_collocate` forms over a node table's rows T'', T', T,
     # written into a buffer, against the allocating call
     mapped = map_ode(_eq19())
     x = np.linspace(-1.0, 1.0, 301)

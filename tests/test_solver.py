@@ -11,12 +11,10 @@ from tfc_solve import (
     DomainError,
     LinearODE2,
     StateCostateProblem,
-    assemble,
     diagnostics,
     fixed_case_expression,
     m_sweep,
     map_ode,
-    solve_ls,
     solve_problem,
     solve_state_costate,
 )
@@ -27,9 +25,10 @@ from tfc_solve.solver import (
     RANK_DEFICIENT_TOL,
     LSSolution,
     _expression,
-    _factor,
     _make_solution,
 )
+
+from kernel import factor, solve_ls, system_of
 
 EPS = np.finfo(float).eps
 
@@ -40,6 +39,12 @@ def _eq19():
 
 def _eq26():
     return CATALOG["eq26"].ode()
+
+
+def _assembled(constraints, mapped, cfg):
+    """P and lambda, the two views of the one [P | lambda] `_system` builds."""
+    system = solver._system(constraints, mapped, cfg)[1]
+    return system[:, :-1], system[:, -1]
 
 
 def _cfg(**kw):
@@ -56,7 +61,7 @@ def test_first_node_quadratic_column():
     # [1, 4] catalog problem.
     mapped = map_ode(_eq19())
     expr = fixed_case_expression("IVP_y_dy", (0.0, 0.0))
-    P, _ = assemble(expr.constraints, mapped, _cfg())
+    P, _ = _assembled(expr.constraints, mapped, _cfg())
     assert P[0, 0] == pytest.approx(16.0 / 9.0, abs=1e-12)
 
 
@@ -69,7 +74,7 @@ def test_assemble_matches_independent_construction():
     cfg = _cfg(m=m, N=N)
     v1, v2 = 1.0, 0.75  # x-scaled constraint values
     expr = fixed_case_expression("IVP_y_dy", (v1, v2))
-    P, lam = assemble(expr.constraints, mapped, cfg)
+    P, lam = _assembled(expr.constraints, mapped, cfg)
 
     x = mapped.map.nodes(N)
     t = mapped.map.to_t(x)
@@ -100,7 +105,7 @@ def test_assemble_matches_independent_construction():
 def test_lambda_zero_for_homogeneous_zero_constraints():
     mapped = map_ode(_eq19())
     expr = fixed_case_expression("IVP_y_dy", (0.0, 0.0))
-    _, lam = assemble(expr.constraints, mapped, _cfg(m=8, N=50))
+    _, lam = _assembled(expr.constraints, mapped, _cfg(m=8, N=50))
     assert np.max(np.abs(lam)) == 0.0
 
 
@@ -124,7 +129,7 @@ def test_dropped_columns_vanish_when_embedding_reproduces_affine(case_id):
     # k = 0, 1 columns are numerically zero.
     mapped = map_ode(_eq26())
     expr = fixed_case_expression(case_id, (0.3, -0.9))
-    P, _ = assemble(expr.constraints, mapped, _cfg(m=10, N=60))
+    P, _ = _assembled(expr.constraints, mapped, _cfg(m=10, N=60))
     dropped = _dropped_columns(case_id, mapped, 60)
     scale = np.max(np.abs(P))
     assert np.max(np.abs(dropped)) <= 1e-12 * scale
@@ -135,7 +140,7 @@ def test_dropped_columns_nonzero_for_second_derivative_case():
     # but those directions still lie in the span of the kept columns.
     mapped = map_ode(_eq26())
     expr = fixed_case_expression("BVP_ddy_ddy", (0.0, 0.0))
-    P, _ = assemble(expr.constraints, mapped, _cfg(m=10, N=60))
+    P, _ = _assembled(expr.constraints, mapped, _cfg(m=10, N=60))
     dropped = _dropped_columns("BVP_ddy_ddy", mapped, 60)
     assert np.max(np.abs(dropped)) > 1e-6
     resid = dropped - P @ np.linalg.lstsq(P, dropped, rcond=None)[0]
@@ -327,9 +332,11 @@ def test_solve_ls_residual_std_past_the_square_root_of_the_largest_double():
     rng = np.random.default_rng(8)
     P = rng.normal(size=(20, 3)) * 1e160
     lam = P @ np.array([1.0, -2.0, 0.5]) + 1e157 * rng.normal(size=20)
-    sol = solve_ls(P, lam)
+    system = system_of(P, lam)
+    sol = solver._solve(system, None, "column_norm")
     assert sol.cond_PtP < 2.0
-    r = P @ sol.xi - lam
+    # P xi rounds by the system's memory order: the kernel's own product
+    r = system[:, :-1] @ sol.xi - lam
     assert np.array_equal(sol.residuals, r)
     assert sol.residual_std == pytest.approx(1e157 * np.std(r / 1e157), rel=1e-14)
     assert sol.residual_mean == pytest.approx(1e157 * np.mean(r / 1e157), rel=1e-14)
@@ -440,7 +447,7 @@ def test_residual_orthogonal_to_columns():
     mapped = map_ode(_eq19())
     expr = fixed_case_expression("IVP_y_dy", (1.0, 0.75))
     cfg = _cfg(m=10, N=200)
-    P, lam = assemble(expr.constraints, mapped, cfg)
+    P, lam = _assembled(expr.constraints, mapped, cfg)
     sol = solve_ls(P, lam)
     g = P.T @ sol.residuals
     assert np.max(np.abs(g)) <= 1e-9 * max(np.linalg.norm(P), 1.0)
@@ -602,8 +609,8 @@ def test_m_sweep_matches_per_m_solves(pid, nodes, scaling):
     m_range = range(entry.sweep[0], entry.sweep[1] + 1)
     report = m_sweep(ode, constraints, m_range, N=1000, nodes=nodes, scaling=scaling)
     mapped = map_ode(ode)
-    P, lam = assemble(_expression(mapped, constraints), mapped,
-                      _cfg(m=m_range[-1], nodes=nodes, scaling=scaling))
+    P, lam = _assembled(_expression(mapped, constraints), mapped,
+                        _cfg(m=m_range[-1], nodes=nodes, scaling=scaling))
     rows = []
     for m in m_range:
         cfg = _cfg(m=m, nodes=nodes, scaling=scaling)
@@ -621,7 +628,7 @@ def test_m_sweep_over_row_blocks_matches_per_m_solves():
     m_range = range(entry.sweep[0], entry.sweep[1] + 1)
     report = m_sweep(ode, constraints, m_range, N=3000)
     mapped = map_ode(ode)
-    _, lam = assemble(_expression(mapped, constraints), mapped, _cfg(m=m_range[-1], N=3000))
+    _, lam = _assembled(_expression(mapped, constraints), mapped, _cfg(m=m_range[-1], N=3000))
     rows = [_sweep_row(solve_problem(ode, constraints, _cfg(m=m, N=3000)), m) for m in m_range]
     _assert_sweep_rows_match(report, diagnostics.make_report(rows), lam, "column_norm")
 
@@ -631,7 +638,7 @@ def test_m_sweep_invalid_configs_get_their_own_rows():
     report = m_sweep(ode, constraints, range(3, 26), N=20)
     assert [r.m for r in report.per_m] == list(range(3, 26))
     mapped = map_ode(ode)
-    _, lam = assemble(_expression(mapped, constraints), mapped, _cfg(m=19, N=20))
+    _, lam = _assembled(_expression(mapped, constraints), mapped, _cfg(m=19, N=20))
     tol = SWEEP_ABS_TOL["column_norm"]["residual_std"] * max(1.0, np.max(np.abs(lam)))
     for r in report.per_m:
         if r.m >= 20:
@@ -971,7 +978,7 @@ def test_factor_bit_identical_to_whole_array_form(rows, scaling, weighted, order
     P = np.asarray(P, order=order)
     lam = rng.standard_normal(rows)
     weights = rng.uniform(0.1, 10.0, rows) if weighted else None
-    R, s = _factor(P, lam, weights, scaling)
+    R, s = factor(P, lam, weights, scaling)
     R_ref, s_ref = _reference_factor(P, lam, weights, scaling)
     assert _bits(s) == _bits(s_ref)
     assert _bits(R) == _bits(R_ref)
@@ -980,13 +987,12 @@ def test_factor_bit_identical_to_whole_array_form(rows, scaling, weighted, order
 @pytest.mark.parametrize("scaling", ["column_norm", "none"])
 @pytest.mark.parametrize("rows", [5, 1000, 1024, 1025, 4000])
 def test_factor_of_one_buffer_matches_the_copy_path(rows, scaling, monkeypatch):
-    # [P | lambda] handed over as one Fortran-order buffer is factored in
-    # row-block views of it; the same values in separate arrays are copied a
-    # block at a time into the factor's own buffer. Both give the same bits.
+    # an unweighted [P | lambda] is factored in row-block views of it; unit
+    # weights take the copy path, each block weighted into the factor's own
+    # buffer. Both give the same bits.
     rng = np.random.default_rng(rows)
     buf = np.empty((20, rows))
     buf[:] = rng.standard_normal((20, rows)) * np.logspace(-6, 6, 20)[:, None]
-    P, lam = buf[:19].T, buf[19]
     blocks = []
     original = np.linalg.qr
 
@@ -995,11 +1001,11 @@ def test_factor_of_one_buffer_matches_the_copy_path(rows, scaling, monkeypatch):
         return original(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", recorded)
-    R, s = _factor(P, lam, None, scaling, buf.T)
+    R, s = solver._factor(buf.T, None, scaling)
     n_blocks = -(-rows // 1024)
     assert blocks[:n_blocks] == [True] * n_blocks
     blocks.clear()
-    R_copy, s_copy = _factor(np.array(P, order="F"), lam.copy(), None, scaling)
+    R_copy, s_copy = solver._factor(buf.T, np.ones(rows), scaling)
     assert not any(blocks)
     assert _bits(s) == _bits(s_copy)
     assert _bits(R) == _bits(R_copy)
@@ -1061,7 +1067,7 @@ def _one_fortran_buffer(P, lam):
 def test_assemble_returns_one_fortran_buffer(case_id):
     mapped = map_ode(_eq19())
     expr = fixed_case_expression(case_id, [1.0, 2.0])
-    P, lam = assemble(expr.constraints, mapped, _cfg())
+    P, lam = _assembled(expr.constraints, mapped, _cfg())
     assert P.shape == (1000, 16) and lam.shape == (1000,)
     assert _one_fortran_buffer(P, lam)
 
@@ -1107,12 +1113,12 @@ def test_assemble_bit_identical_to_allocating_form(case_id, nodes):
                 if case_id == "BVP_ddy_ddy" and m == 2:
                     # its pivots are T_2 and T_3
                     with pytest.raises(ValueError, match="constraint rows have rank 1"):
-                        assemble(constraints, mapped, cfg)
+                        _assembled(constraints, mapped, cfg)
                     continue
                 x = mapped.map.nodes(N, nodes)
                 for got, ref in zip(mapped.coefficients_at(x), _reference_coefficients(mapped, x)):
                     assert got.dtype == np.float64 and _bits(got) == _bits(ref), (m, N)
-                P, lam = assemble(constraints, mapped, cfg)
+                P, lam = _assembled(constraints, mapped, cfg)
                 P_ref, lam_ref = _reference_assemble(constraints, mapped, cfg)
                 # the residual P @ xi rounds by P's memory order, so it is kept
                 assert P.flags.f_contiguous == P_ref.flags.f_contiguous

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tfc_solve import map_ode, solve_ls
+from tfc_solve import map_ode
 from tfc_solve.catalog import CATALOG
 from tfc_solve.chebyshev import endpoint_rows
 from tfc_solve.embedding import _eliminate
@@ -16,11 +16,13 @@ from tfc_solve.solver import (
     _QR_BLOCK_ROWS,
     RANK_DEFICIENT_TOL,
     _expression,
-    _factor,
     _leading_xi,
     _make_solution,
     _singular_values,
 )
+
+from kernel import factor as _factor
+from kernel import solve_ls
 
 EPS = np.finfo(float).eps
 

@@ -103,8 +103,8 @@ def derivative_series(c):
 
 
 def clenshaw(c, x):
-    """sum_k c[i, k] T_k(x) for every row i of c at points x in [-1, 1],
-    shape (len(c), len(x)).
+    """sum_k c[i, k] T_k(x) for every row i of c at points x, any real x (a
+    caller that needs [-1, 1] checks it), shape (len(c), len(x)).
 
     Clenshaw's recurrence, from the top down: b_k = 2 x b_{k+1} - b_{k+2} +
     c_k, then the sum is x b_1 - b_2 + c_0 (Clenshaw 1955; Mason &

@@ -220,8 +220,7 @@ def _sweep_range(args, problem):
     return range(3, 24)
 
 
-def cmd_solve(problem, args, out):
-    cfg = problem.config(args)
+def cmd_solve(problem, args, cfg, out):
     sol = solve_problem(problem.ode, problem.constraints, cfg)
     write_csv(os.path.join(out, "solution.csv"),
               ["t", "y", "ydot", "yddot", "residual"],
@@ -243,10 +242,7 @@ def cmd_solve(problem, args, out):
     return EXIT_OK
 
 
-def _run_sweep(problem, args):
-    cfg = problem.config(args)
-    if cfg.weights is not None:  # m_sweep assembles the unweighted system
-        raise ProblemFileError(f"{args.subcommand} does not take solver.weights")
+def _run_sweep(problem, args, cfg):
     report = m_sweep(problem.ode, problem.constraints, _sweep_range(args, problem),
                      N=cfg.N, nodes=cfg.nodes, scaling=cfg.scaling)
     if all(r.error is not None for r in report.per_m):
@@ -264,8 +260,8 @@ def _write_sweep(report, out):
               rows)
 
 
-def cmd_sweep(problem, args, out):
-    report = _run_sweep(problem, args)
+def cmd_sweep(problem, args, cfg, out):
+    report = _run_sweep(problem, args, cfg)
     _write_sweep(report, out)
     write_json(os.path.join(out, "report.json"), {
         "problem": problem.catalog_id,
@@ -275,8 +271,8 @@ def cmd_sweep(problem, args, out):
     return EXIT_OK
 
 
-def cmd_classify(problem, args, out):
-    report = _run_sweep(problem, args)
+def cmd_classify(problem, args, cfg, out):
+    report = _run_sweep(problem, args, cfg)
     _write_sweep(report, out)
     best = report.row(report.best_m)
     write_json(os.path.join(out, "report.json"), {
@@ -291,8 +287,7 @@ def cmd_classify(problem, args, out):
     return EXIT_OK
 
 
-def cmd_control(problem, args, out):
-    cfg = problem.config(args)
+def cmd_control(problem, args, cfg, out):
     sol = solve_state_costate(problem.control, cfg)
     t1, t2 = problem.interval
     tt = np.linspace(t1, t2, cfg.N)
@@ -347,10 +342,15 @@ def main(argv=None):
         if (args.subcommand == "control") != (problem.kind == "control"):
             need = "a control-kind" if args.subcommand == "control" else "an ivp- or bvp-kind"
             raise ProblemFileError(f"{args.subcommand} subcommand needs {need} problem")
-        os.makedirs(args.out, exist_ok=True)
         if args.m is not None:
             args.m = _parse_m(args.subcommand, args.m)
-        return COMMANDS[args.subcommand](problem, args, args.out)
+        cfg = problem.config(args)
+        if args.subcommand in SWEEP_COMMANDS and cfg.weights is not None:
+            # m_sweep assembles the unweighted system
+            raise ProblemFileError(f"{args.subcommand} does not take solver.weights")
+        # every configuration error is refused before --out is made
+        os.makedirs(args.out, exist_ok=True)
+        return COMMANDS[args.subcommand](problem, args, cfg, args.out)
     except ParseError as exc:
         print(f"error[parse]: {exc}", file=sys.stderr)
         return EXIT_CONFIG

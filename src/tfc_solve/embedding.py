@@ -8,19 +8,19 @@ polynomials satisfy the Kronecker property
     d^{d_k} beta_i / dx^{d_k} (x_k) = delta_ik.
 
 Every constraint then holds identically in g. `eliminate` builds every
-such expression: Gauss-Jordan on constraint rows C over a basis (the
-null-space method; Bjorck 1996, section 5.1). On Chebyshev endpoint rows it
-gives the solver's series (`_eliminate`); on monomial rows its pivots S are
-the betas' support, and an LU solve on C_S their coefficients C_S^-1.
-The twelve published two-constraint cases are reference data.
+such expression: Gauss-Jordan on constraint rows C over the Chebyshev basis
+T_0, T_1, ... (the null-space method; Bjorck 1996, section 5.1). On endpoint
+rows it gives the solver's series (`_eliminate`); on the rows at any points
+its pivots S are the betas' support, and an LU solve on C_S their Chebyshev
+coefficients C_S^-1. The twelve published two-constraint cases are reference
+data, converted to Chebyshev series.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import endpoint_rows
+from .chebyshev import clenshaw, derivative_series, endpoint_rows
 from .errors import SingularConstraintSet
 
 MAX_CONSTRAINTS = 6
@@ -45,20 +45,24 @@ class RelativeConstraintSpec:
     location_b: float
 
 
-def _monomial_deriv_row(exponents, order, x):
-    """Values of d^order/dx^order x^e at x, for each exponent e."""
-    return np.array([math.perm(e, order) * x ** (e - order) if order <= e else 0.0
-                     for e in exponents], dtype=float)
+def _rows(k_max, d, x):
+    """T_k^(d)(x) for k = 0..k_max, shape (k_max + 1, len(x)): the unit series
+    taken d times through `derivative_series`, whose integer coefficients are
+    exact, and summed by `clenshaw`, which holds at any real x."""
+    series = np.eye(k_max + 1)
+    for _ in range(d):
+        series = derivative_series(series)
+    return clenshaw(series.T, x)
 
 
 class BetaSet:
-    """Beta polynomials on a shared monomial support.
+    """Beta polynomials as Chebyshev series on a shared support S.
 
-    coefficients[:, i] holds the monomial coefficients of beta_i.
+    coefficients[j, i] is the coefficient of T_{S[j]} in beta_i.
     """
 
-    def __init__(self, monomial_support, coefficients):
-        self.monomial_support = tuple(int(e) for e in monomial_support)
+    def __init__(self, support, coefficients):
+        self.support = tuple(int(k) for k in support)
         self.coefficients = np.asarray(coefficients, dtype=float)
 
     @property
@@ -68,11 +72,7 @@ class BetaSet:
     def eval(self, x, deriv=0):
         """beta values (or derivatives) at x; shape (n, len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        rows = np.zeros((x.size, len(self.monomial_support)))
-        for j, e in enumerate(self.monomial_support):
-            if deriv <= e:
-                rows[:, j] = math.perm(e, deriv) * x ** (e - deriv)
-        return (rows @ self.coefficients).T
+        return self.coefficients.T @ _rows(self.support[-1], deriv, x)[list(self.support)]
 
 
 def eliminate(C, values):
@@ -121,7 +121,7 @@ def _eliminate(constraints, m):
 
 
 def _beta_set(rows):
-    """Betas of functionals given as rows C over x^0, x^1, ...: the pivots S of
+    """Betas of functionals given as rows C over T_0, T_1, ...: the pivots S of
     `eliminate` are the support, and C_S^-1, the coefficients, comes from an LU
     solve, whose Kronecker residual is smaller than Gauss-Jordan's."""
     C = np.asarray(rows, dtype=float)
@@ -131,19 +131,14 @@ def _beta_set(rows):
 
 def build_betas(constraints):
     """Betas for arbitrary distinct constraints, on the lowest-degree
-    monomials x^e (e = 0, 1, 2, ...) that raise the rank of their rows."""
+    T_k (k = 0, 1, 2, ...) that raise the rank of their rows."""
     n = len(constraints)
     if not 1 <= n <= MAX_CONSTRAINTS:
         raise ValueError(f"need 1..{MAX_CONSTRAINTS} constraints, got {n}")
     seen = {(c.order, c.location) for c in constraints}
     if len(seen) < n:
         raise SingularConstraintSet("duplicate (order, location) constraint pair")
-    try:
-        return _beta_set([_monomial_deriv_row(range(n + 5), c.order, c.location)
-                          for c in constraints])
-    except SingularConstraintSet:
-        raise SingularConstraintSet(
-            "no nonsingular monomial support within exponent budget") from None
+    return _beta_set([_rows(n + 4, c.order, c.location)[:, 0] for c in constraints])
 
 
 class ConstrainedExpression:
@@ -165,15 +160,9 @@ class ConstrainedExpression:
         g, dg, ddg are arrays of g and its x-derivatives at the query
         points x; g_at_constraints[i] = g^(d_i)(x_i).
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         corr = self.values - np.asarray(g_at_constraints, dtype=float)
-        b0 = self.betas.eval(x, 0)
-        b1 = self.betas.eval(x, 1)
-        b2 = self.betas.eval(x, 2)
-        y = np.asarray(g, dtype=float) + corr @ b0
-        yp = np.asarray(dg, dtype=float) + corr @ b1
-        ypp = np.asarray(ddg, dtype=float) + corr @ b2
-        return y, yp, ypp
+        return tuple(np.asarray(v, dtype=float) + corr @ self.betas.eval(x, d)
+                     for d, v in enumerate((g, dg, ddg)))
 
 
 # The twelve published two-constraint cases. Each entry gives the
@@ -198,28 +187,30 @@ FIXED_CASES = {
 }
 
 
+def _case_constraints(case_id, constraint_values):
+    """The x-domain ConstraintSpecs of one of the twelve cases, with its values."""
+    if case_id not in FIXED_CASES:
+        raise ValueError(f"unknown constraint case {case_id!r}")
+    pairs = FIXED_CASES[case_id][0]
+    if len(constraint_values) != len(pairs):
+        raise ValueError(f"case {case_id} takes {len(pairs)} constraint values")
+    return tuple(ConstraintSpec(o, loc, float(v)) for (o, loc), v in zip(pairs, constraint_values))
+
+
 def fixed_case_expression(case_id, constraint_values):
-    """The published constrained expression for one of the twelve cases.
+    """The published constrained expression for one of the twelve cases, its
+    betas converted to Chebyshev series on T_0..T_degree.
 
     constraint_values must already be scaled to the x-domain (see
     DomainMap.scale_derivative_constraint).
     """
-    try:
-        specs, beta_polys = FIXED_CASES[case_id]
-    except KeyError:
-        raise ValueError(f"unknown constraint case {case_id!r}") from None
-    if len(constraint_values) != len(specs):
-        raise ValueError(f"case {case_id} takes {len(specs)} constraint values")
-    support = sorted({e for poly in beta_polys for e in poly})
-    coeffs = np.zeros((len(support), len(beta_polys)))
-    for i, poly in enumerate(beta_polys):
-        for e, c in poly.items():
-            coeffs[support.index(e), i] = c
-    constraints = [
-        ConstraintSpec(order=o, location=loc, value=float(v))
-        for (o, loc), v in zip(specs, constraint_values)
-    ]
-    return ConstrainedExpression(BetaSet(support, coeffs), constraints)
+    constraints = _case_constraints(case_id, constraint_values)
+    series = [np.polynomial.chebyshev.poly2cheb([poly.get(e, 0.0) for e in range(max(poly) + 1)])
+              for poly in FIXED_CASES[case_id][1]]
+    coeffs = np.zeros((max(map(len, series)), len(series)))
+    for i, c in enumerate(series):
+        coeffs[:len(c), i] = c
+    return ConstrainedExpression(BetaSet(range(len(coeffs)), coeffs), constraints)
 
 
 class RelativeEmbedding:
@@ -227,7 +218,7 @@ class RelativeEmbedding:
 
     y(t) = g(t) - beta_0(t) (g1 - g2) - beta_1(t) (gdot1 - gdot2) for any
     free function g, where g1 = g(t1) etc.; the betas come from `_beta_set`
-    on the two relative rows over 1, t, t^2.
+    on the two relative rows over T_0, T_1, T_2.
     """
 
     def __init__(self, t1, t2):
@@ -235,8 +226,8 @@ class RelativeEmbedding:
             raise ValueError("relative constraint locations must differ")
         self.t1 = float(t1)
         self.t2 = float(t2)
-        self.betas = _beta_set([_monomial_deriv_row(range(3), d, self.t1)
-                                - _monomial_deriv_row(range(3), d, self.t2) for d in (0, 1)])
+        rows = [_rows(2, d, [self.t1, self.t2]) for d in (0, 1)]
+        self.betas = _beta_set([r[:, 0] - r[:, 1] for r in rows])
 
     def eval_with(self, t, g_fn, dg_fn):
         t = np.atleast_1d(np.asarray(t, dtype=float))

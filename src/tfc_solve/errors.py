@@ -10,7 +10,7 @@ class DomainError(TfcSolveError):
 
 
 class SingularConstraintSet(TfcSolveError):
-    """No nonsingular monomial support exists for the given constraints."""
+    """Constraint rows of rank below their number, or a repeated constraint."""
 
 
 class NodeSingularity(TfcSolveError):

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import diagnostics
 from .chebyshev import _clip_to_interval, clenshaw, derivative_series, eval_basis_grid
-from .embedding import ConstraintSpec, _eliminate, fixed_case_expression
+from .embedding import ConstraintSpec, _case_constraints, _eliminate
 from .errors import TfcSolveError
 from .mapping import NODE_KINDS
 from .problem import map_ode
@@ -361,7 +361,7 @@ def _expression(mapped, constraints):
     encoding solve_problem takes. Each `at` must be t1 or t2 within 1e-12 of
     the interval width; derivative values are scaled to x."""
     if constraints and isinstance(constraints[0], str):
-        return fixed_case_expression(*constraints).constraints
+        return _case_constraints(*constraints)
     dmap = mapped.map
     tol = 1e-12 * max(dmap.delta_t, 1.0)
     tagged = []

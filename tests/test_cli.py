@@ -203,7 +203,7 @@ def test_unknown_scaling_or_node_kind_is_config_error(tmp_path, subcommand, caps
     code, out = run(tmp_path, subcommand, str(pfile))
     assert code == 3
     assert capsys.readouterr().err == "error[config]: unknown scaling 'bogus'\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     # argparse refuses a node kind or scaling it does not list
     for flag in ("--nodes", "--scaling"):
         with pytest.raises(SystemExit) as exc:
@@ -392,6 +392,23 @@ def test_non_integer_m_or_n_is_config_error(tmp_path, capsys, subcommand, field,
     assert code == 0
 
 
+@pytest.mark.parametrize("solver, message", [
+    ({"m": 1}, "m must be >= 2"),
+    ({"N": 200, "weights": [1.0, 2.0]}, "weights must be length-N, finite and strictly positive"),
+])
+@pytest.mark.parametrize("subcommand", ["solve", "control"])
+def test_invalid_solver_setting_is_refused_before_out_is_made(
+        tmp_path, capsys, subcommand, solver, message):
+    doc = control_doc() if subcommand == "control" else catalog.get("eq26").to_problem_file()
+    doc["solver"] = solver
+    pfile = tmp_path / "solver.json"
+    pfile.write_text(json.dumps(doc))
+    code, out = run(tmp_path, subcommand, str(pfile))
+    assert code == 3
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
+    assert not out.exists()
+
+
 def test_bad_schema_is_config_error(tmp_path):
     pfile = tmp_path / "schema.json"
     pfile.write_text(json.dumps({"schema_version": 2, "kind": "ivp",
@@ -415,7 +432,7 @@ def test_m_of_the_wrong_shape_is_config_error(tmp_path, capsys, subcommand, m, e
     code, out = run(tmp_path, subcommand, "catalog:eq26", "--m", m)
     assert code == 3
     assert capsys.readouterr().err == f"error[config]: {expected}\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_control_m_range_is_config_error(tmp_path, capsys):
@@ -424,7 +441,7 @@ def test_control_m_range_is_config_error(tmp_path, capsys):
     code, out = run(tmp_path, "control", str(pfile), "--m", "3..9")
     assert code == 3
     assert "control takes --m as one integer" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand", ["sweep", "classify"])
@@ -462,7 +479,7 @@ def test_sweep_of_a_weighted_problem_is_config_error(tmp_path, capsys, subcomman
     code, out = run(tmp_path, subcommand, str(pfile), "--m", "17..17")
     assert code == 3
     assert capsys.readouterr().err == f"error[config]: {subcommand} does not take solver.weights\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     code, _ = run(tmp_path / "solve", "solve", str(pfile), "--m", "17")
     assert code == 0
 
@@ -470,7 +487,7 @@ def test_empty_m_range_is_config_error(tmp_path, capsys):
     code, out = run(tmp_path, "classify", "catalog:eq26", "--m", "5..3")
     assert code == 3
     assert capsys.readouterr().err.startswith("error[config]: ")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_write_json_encodes_non_finite_as_null(tmp_path):

@@ -1,7 +1,11 @@
+import math
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import chebyshev
 
 from tfc_solve import (
     ConstrainedExpression,
@@ -13,7 +17,22 @@ from tfc_solve import (
     build_relative_betas,
     fixed_case_expression,
 )
-from tfc_solve.embedding import FIXED_CASES, PIVOT_TOL, _monomial_deriv_row
+from tfc_solve.embedding import FIXED_CASES, MAX_CONSTRAINTS, PIVOT_TOL
+
+
+def monomial_row(exponents, order, x):
+    """d^order/dx^order x^e at x for each exponent e: the rows of the
+    independent monomial search `_svd_support`."""
+    return np.array([math.perm(e, order) * x ** (e - order) if order <= e else 0.0
+                     for e in exponents])
+
+
+def chebyshev_rows(support, order, x):
+    """T_k^(order)(x) for each k in support, shape (len(support), len(x)), from
+    numpy's chebder of the unit series and its chebval, which takes each point
+    alone."""
+    unit = np.eye(max(support) + 1)
+    return chebyshev.chebval(x, chebyshev.chebder(unit, order))[list(support)]
 
 
 def kronecker_matrix(betas, constraints):
@@ -79,8 +98,8 @@ def random_g(rng):
 def test_two_derivative_constraints_support():
     constraints = [ConstraintSpec(1, 0.0), ConstraintSpec(1, 1.0)]
     betas = build_betas(constraints)
-    # constant monomial is useless for derivative constraints
-    assert betas.monomial_support == (1, 2)
+    # T_0 is useless for derivative constraints
+    assert betas.support == (1, 2)
     km = kronecker_matrix(betas, constraints)
     assert np.allclose(km, np.eye(2), atol=1e-12)
 
@@ -88,7 +107,7 @@ def test_two_derivative_constraints_support():
 def test_single_value_constraint_constant_beta():
     constraints = [ConstraintSpec(0, -1.0)]
     betas = build_betas(constraints)
-    assert betas.monomial_support == (0,)
+    assert betas.support == (0,)
     assert betas.coefficients[0, 0] == pytest.approx(1.0)
 
 
@@ -140,9 +159,10 @@ def test_random_constraint_sets_kronecker():
 
 
 def test_crowded_points_kronecker():
-    # the worst of 3000 draws of 1-6 constraints at independent uniform
-    # points (default_rng(2024)), cond(C_S) 5.6e5: the coefficients from an
-    # LU solve on C_S leave a gap of 1.42e-11, Gauss-Jordan rows 3.03e-11
+    # the monomial rows' worst of 3000 draws of 1-6 constraints at
+    # independent uniform points (default_rng(2024)). Over Chebyshev rows,
+    # cond(C_S) 1.2e6: the coefficients from an LU solve on C_S leave a gap
+    # of 7.28e-12 (1.42e-11 over monomials), Gauss-Jordan rows 2.18e-11
     constraints = [ConstraintSpec(d, x) for d, x in (
         (1, -0.6550567289568376), (2, -0.5257372201605346), (0, -0.37953086099604705),
         (0, -0.35567419251469046), (0, -0.3764211183726289))]
@@ -159,12 +179,24 @@ def test_example1_configuration():
     assert b1[1] == pytest.approx([0.0, 1.0], abs=1e-12)
 
 
+def assert_kronecker_to_term_size(betas, constraints):
+    """Each Kronecker entry within 1e-10 of the size of the terms it sums, and
+    those sizes: close points make coefficients of 1e6 whose evaluation alone
+    rounds to 1e-10, on any route to them."""
+    rows = np.array([chebyshev_rows(betas.support, c.order, [c.location])[:, 0]
+                     for c in constraints])
+    terms = np.abs(rows) @ np.abs(betas.coefficients)
+    gap = np.abs(kronecker_matrix(betas, constraints) - np.eye(len(constraints)))
+    assert np.all(gap <= 1e-10 * np.maximum(1.0, terms)), constraints
+    return terms
+
+
 def _svd_support(constraints):
     """Reference support, by the SVD rank search `build_betas` ran before it
     eliminated: x^e joins while the constraint columns stay independent."""
     support, columns = [], []
     for e in range(len(constraints) + 5):
-        col = np.array([_monomial_deriv_row([e], c.order, c.location)[0] for c in constraints])
+        col = np.array([monomial_row([e], c.order, c.location)[0] for c in constraints])
         s = np.linalg.svd(np.column_stack(columns + [col]), compute_uv=False)
         if s[-1] > PIVOT_TOL * max(s[0], 1.0):
             support.append(e)
@@ -186,15 +218,38 @@ def test_elimination_keeps_the_svd_search_supports():
         sets.append([ConstraintSpec(int(rng.integers(0, 3)), float(x)) for x in locs])
     for constraints in sets:
         betas = build_betas(constraints)
-        assert betas.monomial_support == _svd_support(constraints), constraints
-        # 1e-10 of the size of the terms each Kronecker entry sums: close
-        # points make coefficients of 1e6 whose evaluation alone rounds to
-        # 1e-10, on any route to them
-        rows = np.array([_monomial_deriv_row(betas.monomial_support, c.order, c.location)
-                         for c in constraints])
-        terms = np.abs(rows) @ np.abs(betas.coefficients)
-        gap = np.abs(kronecker_matrix(betas, constraints) - np.eye(len(constraints)))
-        assert np.all(gap <= 1e-10 * np.maximum(1.0, terms)), constraints
+        # span{T_0..T_k} = span{x^0..x^k}: the leading columns have the same
+        # ranks over either basis, so the pivots are the monomial search's
+        assert betas.support == _svd_support(constraints), constraints
+        assert_kronecker_to_term_size(betas, constraints)
+
+
+# Points on a grid of step 1/32 in [-2, 2]: rows of points much closer, near
+# |x| = 2, can fall below the pivot cut-off, a refusal rather than a gap.
+_constraint_pairs = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(-64, 64).map(lambda k: k / 32.0)),
+    min_size=1, max_size=MAX_CONSTRAINTS, unique=True)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pairs=_constraint_pairs,
+       g_coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+       values=st.lists(st.floats(-1.0, 1.0), min_size=MAX_CONSTRAINTS,
+                       max_size=MAX_CONSTRAINTS))
+def test_any_constraint_set_has_the_kronecker_property(pairs, g_coeffs, values):
+    constraints = [ConstraintSpec(o, x, v) for (o, x), v in zip(pairs, values)]
+    betas = build_betas(constraints)
+    terms = assert_kronecker_to_term_size(betas, constraints)
+    # a polynomial g, embedded, meets every constraint to the same 1e-10 of
+    # the terms its correction sums
+    g = PolyG(g_coeffs)
+    expr = ConstrainedExpression(betas, constraints)
+    x = np.array([c.location for c in constraints])
+    out = eval_expr(expr, x, g)
+    corr = np.abs([c.value - g.deriv(c.location, c.order) for c in constraints])
+    for k, c in enumerate(constraints):
+        size = max(1.0, abs(g.deriv(c.location, c.order)), terms[k] @ corr)
+        assert abs(out[c.order][k] - c.value) <= 1e-10 * size, c
 
 
 # --- relative constraints --------------------------------------------------
@@ -338,7 +393,7 @@ def test_generic_matches_fixed(case_id):
     g = random_g(rng)
     yf = eval_expr(fixed, x, g)[0]
     yg = eval_expr(generic, x, g)[0]
-    if fixed.betas.monomial_support == generic.betas.monomial_support:
+    if fixed.betas.support == generic.betas.support:
         assert np.max(np.abs(yf - yg)) <= 1e-8
     for expr in (fixed, generic):
         for c, v in zip(expr.constraints, values):
@@ -381,18 +436,32 @@ def beta_sets_under_test():
 @pytest.mark.parametrize("N", [60, 1001, 4000, 10001])
 @pytest.mark.parametrize("nodes", ["uniform", "lobatto"])
 def test_beta_eval_matches_per_point_reference(nodes, N):
-    # The array power x**e and the scalar xi**e may round differently by
-    # one ulp, so agreement is to a few eps rather than bit for bit.
+    # The reference rows are numpy's, by its own derivative and Clenshaw
+    # arrangement, which round differently from the package's, so agreement
+    # is to 4 eps of max(1, |beta|) rather than bit for bit.
     x = DomainMap(-1.0, 1.0).nodes(N, nodes)
     reference_rows = {}
     for betas in beta_sets_under_test():
         for deriv in range(4):
-            key = (betas.monomial_support, deriv)
+            key = (betas.support, deriv)
             if key not in reference_rows:
-                reference_rows[key] = np.stack(
-                    [_monomial_deriv_row(betas.monomial_support, deriv, xi) for xi in x])
-            ref = (reference_rows[key] @ betas.coefficients).T
+                reference_rows[key] = chebyshev_rows(betas.support, deriv, x)
+            ref = betas.coefficients.T @ reference_rows[key]
             got = betas.eval(x, deriv)
             assert got.shape == ref.shape == (betas.n, N)
             tol = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
-            assert np.all(np.abs(got - ref) <= tol), (betas.monomial_support, deriv)
+            assert np.all(np.abs(got - ref) <= tol), (betas.support, deriv)
+
+
+@pytest.mark.parametrize("case_id", sorted(FIXED_CASES))
+def test_fixed_case_betas_match_the_published_polynomials(case_id):
+    # the Chebyshev series are the published monomial betas, converted: each
+    # beta and its first two derivatives within 4 eps of max(1, |beta|)
+    betas = fixed_case_expression(case_id, (0.0, 0.0)).betas
+    x = np.linspace(-1.0, 1.0, 101)
+    for i, poly in enumerate(FIXED_CASES[case_id][1]):
+        published = np.polynomial.Polynomial([poly.get(e, 0.0) for e in range(max(poly) + 1)])
+        for deriv in range(3):
+            ref = published.deriv(deriv)(x)
+            tol = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
+            assert np.all(np.abs(betas.eval(x, deriv)[i] - ref) <= tol), (i, deriv)
